@@ -17,7 +17,13 @@
 //
 //  * Cold create vs. warm resume — first-step latency of a fresh
 //    conversation vs. rehydrating a spilled one by journal replay (what a
-//    reconnecting client pays after a restart).
+//    reconnecting client pays after a restart). Records journal the
+//    question each answer answered, so the replay partitions without
+//    calling Select(); the same sessions stripped of their recorded
+//    questions — what a version-1 record holds — resume by selector replay,
+//    the path every resume took before, and are timed alongside as the
+//    baseline. `--assert` fails when warm resume costs more than 1.5x a
+//    cold create.
 //
 // --json prints the machine-readable document to stdout (tables go to
 // stderr); the committed BENCH_durability.json is this bench's output at
@@ -28,6 +34,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -74,6 +81,11 @@ SliceResult RunConversation(const SetCollection& c, SessionManager& manager,
   uint64_t steps = static_cast<uint64_t>(view.result.questions);
   manager.Close(view.id);
   return {seconds, steps};
+}
+
+double Median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
 }
 
 SessionManagerOptions BaseOptions() {
@@ -243,6 +255,7 @@ int main(int argc, char** argv) {
   // ------------------------------------------------------------------
   // Cold create vs. warm resume (journal replay) first-step latency
   // ------------------------------------------------------------------
+  double cold_us = 0.0, warm_us = 0.0;
   {
     const int probes = ScalePick<int>(60, 150, 300);
     SessionStoreOptions opt;
@@ -252,47 +265,71 @@ int main(int argc, char** argv) {
     SessionManagerOptions options = BaseOptions();
     options.session_store = &store;
 
-    std::vector<uint64_t> ids;
+    // Each probe conversation is journaled twice: once as written, once
+    // stripped of its recorded questions (selector replay).
+    std::vector<uint64_t> ids, selector_ids;
     {
       SessionManager writer(c, idx, options);
       for (int i = 0; i < probes; ++i) {
         const SetId target = static_cast<SetId>((i * 31 + 5) % c.num_sets());
-        SimulatedOracle oracle(&c, target);
-        SessionView view = writer.Create({});
-        // Three answered steps of journal to replay on resume.
-        for (int step = 0; step < 3; ++step) {
-          if (view.state != SessionState::kAwaitingAnswer) break;
-          writer.SubmitAnswer(view.id, oracle.AskMembership(view.question),
-                              &view);
+        for (std::vector<uint64_t>* out_ids : {&ids, &selector_ids}) {
+          SimulatedOracle oracle(&c, target);
+          SessionView view = writer.Create({});
+          // Three answered steps of journal to replay on resume.
+          for (int step = 0; step < 3; ++step) {
+            if (view.state != SessionState::kAwaitingAnswer) break;
+            writer.SubmitAnswer(view.id, oracle.AskMembership(view.question),
+                                &view);
+          }
+          out_ids->push_back(view.id);
         }
-        ids.push_back(view.id);
       }
       // Writer manager torn down: the store alone carries the sessions.
     }
+    for (uint64_t id : selector_ids) {
+      SessionRecord rec;
+      if (!store.Get(id, &rec)) return 1;
+      for (SessionEvent& ev : rec.events) ev.entity = kNoEntity;
+      rec.next_question = kNoEntity;
+      store.Put(rec);
+    }
 
+    // Interleaved per probe, so host drift lands on all three evenly;
+    // medians, so one preempted probe does not move the figure.
     SessionManager resumer(c, idx, options);
-    WallTimer cold_timer;
+    std::vector<double> cold(probes), warm(probes), warm_selector(probes);
+    int resumed = 0;
     for (int i = 0; i < probes; ++i) {
+      WallTimer cold_timer;
       SessionView view = resumer.Create({});
       resumer.Close(view.id);
-    }
-    const double cold_us = cold_timer.Seconds() * 1e6 / probes;
+      cold[i] = cold_timer.Seconds() * 1e6;
 
-    WallTimer warm_timer;
-    int resumed = 0;
-    for (uint64_t id : ids) {
-      SessionView view;
-      if (resumer.Get(id, &view) == SessionStatus::kOk) ++resumed;
+      WallTimer warm_timer;
+      if (resumer.Get(ids[i], &view) == SessionStatus::kOk) ++resumed;
+      warm[i] = warm_timer.Seconds() * 1e6;
+
+      WallTimer selector_timer;
+      if (resumer.Get(selector_ids[i], &view) == SessionStatus::kOk) ++resumed;
+      warm_selector[i] = selector_timer.Seconds() * 1e6;
     }
-    const double warm_us = warm_timer.Seconds() * 1e6 / probes;
-    out << "first step: cold create " << Format("%.1f us", cold_us)
+    cold_us = Median(cold);
+    warm_us = Median(warm);
+    const double warm_selector_us = Median(warm_selector);
+    out << "first step (median): cold create " << Format("%.1f us", cold_us)
         << ", warm resume (3-event replay) " << Format("%.1f us", warm_us)
-        << " (" << resumed << "/" << probes << " resumed)\n";
+        << Format(" (%.2fx cold)", warm_us / cold_us)
+        << ", by selector replay " << Format("%.1f us", warm_selector_us)
+        << " (" << resumed << "/" << 2 * probes << " resumed)\n";
     report.Add(JsonReport::Row()
                    .Str("mode", "first_step")
                    .Num("cold_create_us", cold_us)
                    .Num("warm_resume_us", warm_us)
-                   .Int("resumed", resumed));
+                   .Num("warm_resume_selector_replay_us", warm_selector_us)
+                   .Num("warm_over_cold", warm_us / cold_us)
+                   .Int("resumed", resumed)
+                   .Int("hardware_threads", static_cast<int64_t>(
+                                                std::thread::hardware_concurrency())));
   }
 
   // The durability contract: asynchronous journaling must cost < 5%
@@ -308,6 +345,17 @@ int main(int argc, char** argv) {
     out << "\nREGRESSION: WAL journaling is "
         << Format("%.2f%%", overhead * 100.0)
         << " slower than RAM-only serving (bound: 5%)\n";
+  }
+  // Warm resume replays recorded questions instead of re-selecting at every
+  // journaled node, so it must stay close to a cold create (one Select).
+  const double kMaxWarmOverCold = 1.5;
+  if (warm_us <= kMaxWarmOverCold * cold_us) {
+    out << "warm resume bound holds: " << Format("%.2fx", warm_us / cold_us)
+        << " <= 1.5x cold create.\n";
+  } else {
+    out << "REGRESSION: warm resume is " << Format("%.2fx", warm_us / cold_us)
+        << " a cold create (bound: 1.5x)\n";
+    ok = false;
   }
 
   report.Print();

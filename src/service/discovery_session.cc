@@ -61,8 +61,11 @@ ShardedSubCollection ShardedEngine::Filter(
 template <typename Engine>
 BasicDiscoverySession<Engine>::BasicDiscoverySession(
     Engine engine, std::span<const EntityId> initial, Selector& selector,
-    const DiscoveryOptions& options)
-    : engine_(std::move(engine)), selector_(&selector), options_(options) {
+    const DiscoveryOptions& options, std::vector<EntityId> recorded_questions)
+    : engine_(std::move(engine)),
+      selector_(&selector),
+      options_(options),
+      replay_(std::move(recorded_questions)) {
   const bool metrics = obs::Enabled();
   uint64_t t0 = 0;
   if (metrics) {
@@ -104,7 +107,17 @@ void BasicDiscoverySession<Engine>::Advance() {
       return;
     }
     EntityId e;
-    {
+    if (replay_next_ < replay_.size()) [[unlikely]] {
+      // Rehydration: the question this node was asked is on record. Check
+      // it before any partition uses it — a corrupt journal must fail the
+      // rehydration, not index past the collection.
+      e = replay_[replay_next_++];
+      if (e >= engine_.UniverseSize() || excluded_.Test(e)) {
+        replay_rejected_ = true;
+        Finish();
+        return;
+      }
+    } else {
       obs::PhaseTimer select_timer(obs::Phase::kSelect);
       e = selector_->Select(candidates_, any_excluded_ ? &excluded_ : nullptr);
     }
@@ -270,6 +283,14 @@ void BasicDiscoverySession<Engine>::Backtrack() {
   }
   // Exhausted the answer tree without confirmation.
   Finish();
+}
+
+template <typename Engine>
+bool BasicDiscoverySession<Engine>::EndReplay() {
+  const bool ok = !replay_rejected_ && replay_next_ == replay_.size();
+  replay_ = {};
+  replay_next_ = 0;
+  return ok;
 }
 
 template <typename Engine>

@@ -145,6 +145,13 @@ class DiscoveryEngine {
   virtual void SetEffortSource(const std::atomic<int>* source) {
     (void)source;
   }
+
+  /// Ends the replay of recorded questions a rehydrated session was built
+  /// with (BasicDiscoverySession's replay constructor): later selections
+  /// call the selector. Returns false when a recorded question was rejected
+  /// or some were never reached — the journal does not describe this
+  /// conversation. A session built without recorded questions returns true.
+  virtual bool EndReplay() { return true; }
 };
 
 /// Engine over one flat SetCollection: the candidate view is a
@@ -170,6 +177,7 @@ struct UnshardedEngine {
   SetId Front(const View& view) const { return view.front(); }
   View Filter(View view, const std::unordered_set<SetId>& rejected) const;
   size_t NumShards() const { return 1; }
+  EntityId UniverseSize() const { return collection->universe_size(); }
 };
 
 /// Engine over a ShardedCollection: the candidate view keeps one
@@ -197,6 +205,7 @@ struct ShardedEngine {
   SetId Front(const View& view) const { return view.FrontGlobal(); }
   View Filter(View view, const std::unordered_set<SetId>& rejected) const;
   size_t NumShards() const { return collection->num_shards(); }
+  EntityId UniverseSize() const { return collection->base().universe_size(); }
 };
 
 /// The Algorithm 2 + §6 state machine, written once over an Engine.
@@ -211,8 +220,18 @@ class BasicDiscoverySession : public DiscoveryEngine {
   /// first question. The engine's referents and the selector must outlive
   /// the session; the selector must not be shared with a concurrently
   /// stepping session.
+  ///
+  /// Rehydration passes `recorded_questions` (session_store.h's
+  /// RecordedQuestions): the questions the original conversation was asked,
+  /// in order. Until EndReplay(), each point where the narrowing loop would
+  /// call Select() takes the next recorded question instead, once the
+  /// question is checked to name an entity of the collection that is not
+  /// excluded; a rejected question finishes the session and fails
+  /// EndReplay(). The selector still sees every partition (NotePartition),
+  /// and is called only when the list runs out.
   BasicDiscoverySession(Engine engine, std::span<const EntityId> initial,
-                        Selector& selector, const DiscoveryOptions& options);
+                        Selector& selector, const DiscoveryOptions& options,
+                        std::vector<EntityId> recorded_questions = {});
 
   BasicDiscoverySession(BasicDiscoverySession&&) = default;
   BasicDiscoverySession& operator=(BasicDiscoverySession&&) = default;
@@ -245,6 +264,8 @@ class BasicDiscoverySession : public DiscoveryEngine {
     effort_source_ = source;
     ApplyEffort();
   }
+
+  bool EndReplay() override;
 
  private:
   /// One answered question: the candidate view before it, the entity asked,
@@ -305,6 +326,12 @@ class BasicDiscoverySession : public DiscoveryEngine {
   std::unordered_set<SetId> rejected_;  // sets refuted during verification
   std::vector<Frame> frames_;
 
+  /// Recorded questions still to replay (see the constructor); empty for
+  /// live sessions and once EndReplay() ran.
+  std::vector<EntityId> replay_;
+  size_t replay_next_ = 0;
+  bool replay_rejected_ = false;
+
   DiscoveryResult result_;
 
   /// Live degradation level (see SetEffortSource); null pins full effort.
@@ -329,9 +356,11 @@ class DiscoverySession : public BasicDiscoverySession<UnshardedEngine> {
  public:
   DiscoverySession(const SetCollection& collection, const InvertedIndex& index,
                    std::span<const EntityId> initial, EntitySelector& selector,
-                   const DiscoveryOptions& options = {})
+                   const DiscoveryOptions& options = {},
+                   std::vector<EntityId> recorded_questions = {})
       : BasicDiscoverySession(UnshardedEngine{&collection, &index}, initial,
-                              selector, options) {}
+                              selector, options,
+                              std::move(recorded_questions)) {}
 };
 
 /// The same conversation over a sharded collection: candidate seeding,
@@ -343,9 +372,11 @@ class ShardedDiscoverySession : public BasicDiscoverySession<ShardedEngine> {
                           std::span<const EntityId> initial,
                           ShardedEntitySelector& selector,
                           const DiscoveryOptions& options = {},
-                          ThreadPool* pool = nullptr)
+                          ThreadPool* pool = nullptr,
+                          std::vector<EntityId> recorded_questions = {})
       : BasicDiscoverySession(ShardedEngine{&collection, pool}, initial,
-                              selector, options) {}
+                              selector, options,
+                              std::move(recorded_questions)) {}
 };
 
 }  // namespace setdisc

@@ -139,7 +139,8 @@ SessionView SessionManager::MakeView(SessionId id,
 }
 
 std::shared_ptr<SessionManager::Entry> SessionManager::NewEntry(
-    std::span<const EntityId> initial, int effort, bool enable_trace) {
+    std::span<const EntityId> initial, int effort, bool enable_trace,
+    std::vector<EntityId> recorded_questions) {
   auto entry = std::make_shared<Entry>();
   // The initial Select() (inside the session constructors below) runs
   // outside the registry lock: it can be a real scan, and other sessions
@@ -164,7 +165,7 @@ std::shared_ptr<SessionManager::Entry> SessionManager::NewEntry(
     entry->sharded_selector = std::move(selector);
     entry->session = std::make_unique<ShardedDiscoverySession>(
         *sharded_, initial, *entry->sharded_selector, options_.discovery,
-        pool_.get());
+        pool_.get(), std::move(recorded_questions));
   } else {
     std::unique_ptr<EntitySelector> selector = options_.selector_factory();
     SETDISC_CHECK_MSG(selector != nullptr, "selector_factory returned nullptr");
@@ -175,7 +176,8 @@ std::shared_ptr<SessionManager::Entry> SessionManager::NewEntry(
     if (effort != 0) selector->SetEffort(effort);
     entry->selector = std::move(selector);
     entry->session = std::make_unique<DiscoverySession>(
-        collection_, index_, initial, *entry->selector, options_.discovery);
+        collection_, index_, initial, *entry->selector, options_.discovery,
+        std::move(recorded_questions));
   }
   if (enable_trace) {
     // Attached after the constructor's first Select(), so the creation step
@@ -229,6 +231,8 @@ SessionView SessionManager::Create(std::span<const EntityId> initial,
     entry->record.set_trace_enabled(enable_trace);
     entry->record.create_effort = EffortByte(create_effort);
     entry->record.initial.assign(initial.begin(), initial.end());
+    entry->record.next_question = entry->session->NextQuestion();
+    entry->record.journey_trace = journey_trace;
   }
   // Held across publication so the store sees the creation record before
   // any concurrent step's update (ids are guessable; a racing step could
@@ -340,17 +344,20 @@ std::shared_ptr<SessionManager::Entry> SessionManager::Rehydrate(
       rec.options.max_backtracks != options_.discovery.max_backtracks) {
     return fail("rehydrate: options mismatch", id);
   }
-  std::shared_ptr<Entry> entry =
-      NewEntry(rec.initial, rec.create_effort, rec.trace_enabled());
+  std::shared_ptr<Entry> entry = NewEntry(
+      rec.initial, rec.create_effort, rec.trace_enabled(),
+      RecordedQuestions(rec));
   const std::string_view selector_name = entry->selector != nullptr
                                              ? entry->selector->name()
                                              : entry->sharded_selector->name();
   if (selector_name != rec.selector) {
     return fail("rehydrate: selector mismatch", id);
   }
-  // Replay the journal with the selector pinned to each event's recorded
-  // effort (no effort source yet, so manual SetEffort sticks — see
-  // DiscoveryEngine::SetEffortSource). A deterministic selector then
+  // Replay the journal. A version-2 record's questions were handed to the
+  // session above, so the replay runs partitions only; a version-1 record
+  // has none and replays through the selector, pinned to each event's
+  // recorded effort (no effort source yet, so manual SetEffort sticks — see
+  // DiscoveryEngine::SetEffortSource), where a deterministic selector
   // reproduces the exact candidate narrowing, exclusions, and transcript.
   int applied = rec.create_effort;
   for (const SessionEvent& ev : rec.events) {
@@ -363,8 +370,12 @@ std::shared_ptr<SessionManager::Entry> SessionManager::Rehydrate(
       applied = ev.effort;
     }
     if (ev.kind == kEventAnswer) {
+      // A recorded question must be the one pending here: that binds the
+      // answer to the question the user saw.
       if (entry->session->state() != SessionState::kAwaitingAnswer ||
-          ev.value > static_cast<uint8_t>(Oracle::Answer::kDontKnow)) {
+          ev.value > static_cast<uint8_t>(Oracle::Answer::kDontKnow) ||
+          (ev.entity != kNoEntity &&
+           ev.entity != entry->session->NextQuestion())) {
         return fail("rehydrate: journal does not replay", id);
       }
       entry->session->SubmitAnswer(static_cast<Oracle::Answer>(ev.value));
@@ -374,6 +385,9 @@ std::shared_ptr<SessionManager::Entry> SessionManager::Rehydrate(
       }
       entry->session->Verify(ev.value != 0);
     }
+  }
+  if (!entry->session->EndReplay()) {
+    return fail("rehydrate: journal does not replay", id);
   }
   // Rejoin the live effort regime: pin the current level, then attach the
   // source so future controller moves land like on any other session.
@@ -387,7 +401,16 @@ std::shared_ptr<SessionManager::Entry> SessionManager::Rehydrate(
   }
   entry->session->SetEffortSource(&effort_level_);
   entry->token = rec.token;
+  entry->journey_trace = rec.journey_trace;
   entry->finished.store(entry->session->done(), std::memory_order_relaxed);
+  // Bring a version-1 record up to version 2 for its next Put: the replay's
+  // transcript holds the question of every answer event, in order.
+  const auto& transcript = entry->session->result().transcript;
+  size_t asked = 0;
+  for (SessionEvent& ev : rec.events) {
+    if (ev.kind == kEventAnswer) ev.entity = transcript[asked++].first;
+  }
+  rec.next_question = entry->session->NextQuestion();
   const size_t replayed = rec.events.size();
   entry->record = std::move(rec);
   {
@@ -438,7 +461,13 @@ void SessionManager::JournalStepLocked(SessionId id, Entry& entry,
                                        uint8_t effort) {
   if (store_ == nullptr) return;
   (void)id;
-  entry.record.events.push_back(SessionEvent{kind, value, effort});
+  SessionEvent ev{kind, value, effort};
+  // An answer's question is the transcript entry it just appended.
+  if (kind == kEventAnswer) {
+    ev.entity = entry.session->result().transcript.back().first;
+  }
+  entry.record.events.push_back(ev);
+  entry.record.next_question = entry.session->NextQuestion();
   store_->Put(entry.record);
 }
 

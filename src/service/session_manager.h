@@ -186,9 +186,10 @@ struct SessionManagerOptions {
   /// session op consults the store and rehydrates by replaying the recorded
   /// events through a fresh engine (byte-parity with a never-evicted
   /// session; the selectors must be deterministic, same rule as the
-  /// selection cache). The manager also seeds its id counter past
-  /// store->max_id() so a restart never reissues a persisted id. nullptr =
-  /// the old RAM-only behavior.
+  /// selection cache). Records journal the question each answer answered,
+  /// so the replay re-runs partitions only, not the selector. The manager
+  /// also seeds its id counter past store->max_id() so a restart never
+  /// reissues a persisted id. nullptr = the old RAM-only behavior.
   SessionStore* session_store = nullptr;
 };
 
@@ -363,20 +364,27 @@ class SessionManager {
   /// store). All session ops go through this.
   std::shared_ptr<Entry> FindOrRehydrate(SessionId id);
   /// Rebuilds a session from its store record by replaying the journal
-  /// through a fresh engine; returns the registered entry, or nullptr when
-  /// the record is missing, for another collection/selector, or fails to
-  /// replay cleanly. Thread-safe; a racing rehydration of the same id
-  /// resolves second-wins (the loser's rebuild is dropped).
+  /// through a fresh engine — the recorded questions stand in for Select()
+  /// when the record has them (version 2); returns the registered entry, or
+  /// nullptr when the record is missing, for another collection/selector,
+  /// or fails to replay cleanly (including a recorded question that is out
+  /// of range, excluded, or not the one pending at its event). Thread-safe;
+  /// a racing rehydration of the same id resolves second-wins (the loser's
+  /// rebuild is dropped).
   std::shared_ptr<Entry> Rehydrate(SessionId id);
   /// Builds a not-yet-registered entry: selector (cache-wrapped, effort
   /// pre-applied), session over `initial`, optional tracing. The creation
-  /// Select runs here, outside any lock. Does NOT attach the live effort
-  /// source — Create/Rehydrate do that once the entry's selector is at the
-  /// right level.
-  std::shared_ptr<Entry> NewEntry(std::span<const EntityId> initial,
-                                  int effort, bool enable_trace);
-  /// Journals one applied event and persists the record (store configured
-  /// only). Requires the entry mutex.
+  /// Select runs here, outside any lock — or, for a rehydration, the first
+  /// of `recorded_questions` stands in for it (see
+  /// BasicDiscoverySession's replay constructor). Does NOT attach the live
+  /// effort source — Create/Rehydrate do that once the entry's selector is
+  /// at the right level.
+  std::shared_ptr<Entry> NewEntry(
+      std::span<const EntityId> initial, int effort, bool enable_trace,
+      std::vector<EntityId> recorded_questions = {});
+  /// Journals one applied event — for an answer, with the question it
+  /// answered — plus the question now pending, and persists the record
+  /// (store configured only). Requires the entry mutex.
   void JournalStepLocked(SessionId id, Entry& entry, uint8_t kind,
                          uint8_t value, uint8_t effort);
   size_t ReapExpiredLocked();  // requires registry_mu_

@@ -8,7 +8,10 @@ namespace setdisc {
 
 namespace {
 
-constexpr uint8_t kRecordVersion = 1;
+/// Version 1: answers only. Version 2 adds each answer event's question,
+/// the pending question, and the journey trace id.
+constexpr uint8_t kRecordVersionV1 = 1;
+constexpr uint8_t kRecordVersion = 2;
 constexpr uint8_t kWalPut = 1;
 constexpr uint8_t kWalErase = 2;
 
@@ -17,6 +20,20 @@ constexpr uint8_t kWalErase = 2;
 constexpr uint32_t kMaxVectorLen = 1u << 24;
 
 }  // namespace
+
+std::vector<EntityId> RecordedQuestions(const SessionRecord& record) {
+  std::vector<EntityId> questions;
+  questions.reserve(record.events.size() + 1);
+  for (const SessionEvent& ev : record.events) {
+    if (ev.kind != kEventAnswer) continue;
+    if (ev.entity == kNoEntity) return {};
+    questions.push_back(ev.entity);
+  }
+  if (record.next_question != kNoEntity) {
+    questions.push_back(record.next_question);
+  }
+  return questions;
+}
 
 void EncodeSessionRecord(const SessionRecord& record, std::string* out) {
   ByteWriter w(out);
@@ -38,13 +55,21 @@ void EncodeSessionRecord(const SessionRecord& record, std::string* out) {
     w.PutU8(ev.kind);
     w.PutU8(ev.value);
     w.PutU8(ev.effort);
+    if (ev.kind == kEventAnswer) w.PutU32(ev.entity);
   }
+  w.PutU32(record.next_question);
+  w.PutU64(record.journey_trace.hi);
+  w.PutU64(record.journey_trace.lo);
 }
 
 bool DecodeSessionRecord(std::string_view data, SessionRecord* out) {
   ByteReader r(data);
   uint8_t version = 0;
-  if (!r.GetU8(&version) || version != kRecordVersion) return false;
+  if (!r.GetU8(&version) ||
+      (version != kRecordVersionV1 && version != kRecordVersion)) {
+    return false;
+  }
+  const bool v2 = version == kRecordVersion;
   SessionRecord rec;
   uint32_t max_questions = 0, max_backtracks = 0;
   uint8_t dont_know = 0, verify = 0;
@@ -73,6 +98,12 @@ bool DecodeSessionRecord(std::string_view data, SessionRecord* out) {
       return false;
     }
     if (ev.kind > kEventVerify) return false;
+    if (v2 && ev.kind == kEventAnswer && !r.GetU32(&ev.entity)) return false;
+  }
+  if (v2 && (!r.GetU32(&rec.next_question) ||
+             !r.GetU64(&rec.journey_trace.hi) ||
+             !r.GetU64(&rec.journey_trace.lo))) {
+    return false;
   }
   if (!r.Exhausted()) return false;
   *out = std::move(rec);

@@ -13,6 +13,20 @@
 /// byte-parity with a never-evicted session testable (the parity suite
 /// drives both and compares transcripts).
 ///
+/// In the paper's decision-tree view (Algorithm 2) a conversation is a path
+/// from the root, each node labelled by the question asked there and the
+/// answer taken. Records since version 2 journal both labels: every answer
+/// event carries the entity it answered, and the record carries the
+/// question pending after its last event. Rehydration hands those recorded
+/// questions to the session (BasicDiscoverySession's replay constructor),
+/// which replays partitions only — no Select() per node — after checking
+/// each one names an entity of the collection that is not excluded and is
+/// the question pending at that point. That is sound because a selector's
+/// decision is a function of (sub-collection, exclusions, effort) only
+/// (core/selector.h), and it binds each stored answer to the question the
+/// user actually saw. Version-1 records (answers only) still decode and
+/// replay through the selector, pinned to each event's recorded effort.
+///
 /// On-disk layout (inside `options.dir`):
 ///
 ///   sessions.ckpt   checkpoint: every live record, rewritten atomically
@@ -53,6 +67,7 @@
 
 #include "collection/types.h"
 #include "core/discovery.h"
+#include "obs/journey.h"
 #include "obs/metrics.h"
 #include "service/durability.h"
 #include "util/status.h"
@@ -69,6 +84,10 @@ struct SessionEvent {
   /// the selector to this level before re-applying the event, so a session
   /// degraded mid-conversation rehydrates byte-identically.
   uint8_t effort = 0;
+  /// For answer events, the question answered (kNoEntity in records
+  /// written before version 2, which replay through the selector instead).
+  /// Unused for verify events.
+  EntityId entity = kNoEntity;
 };
 
 inline constexpr uint8_t kEventAnswer = 0;
@@ -97,6 +116,14 @@ struct SessionRecord {
   uint8_t create_effort = 0;
   std::vector<EntityId> initial;
   std::vector<SessionEvent> events;
+  /// The question pending after the last event (kNoEntity when none is:
+  /// the session awaits a verification or has finished, or the record
+  /// predates version 2).
+  EntityId next_question = kNoEntity;
+  /// Request-journey trace id the conversation was created under (invalid
+  /// if none), restored on rehydration so a resumed session's spans keep
+  /// their trace.
+  obs::TraceId journey_trace;
 
   bool trace_enabled() const { return (flags & 1) != 0; }
   void set_trace_enabled(bool on) {
@@ -104,12 +131,21 @@ struct SessionRecord {
   }
 };
 
-/// Serializes `record` (versioned, little-endian; durability.h header
-/// comment has the conventions) onto `out`.
+/// The questions a rehydration replays instead of calling Select(), in
+/// the order the session's Advance() reaches them: each answer event's
+/// question, then next_question when set. Empty — replay through the
+/// selector — unless every answer event carries its question.
+std::vector<EntityId> RecordedQuestions(const SessionRecord& record);
+
+/// Serializes `record` (versioned — always the current version 2 —
+/// little-endian; durability.h header comment has the conventions) onto
+/// `out`.
 void EncodeSessionRecord(const SessionRecord& record, std::string* out);
 
-/// Decodes a serialized SessionRecord; false on truncation, trailing
-/// garbage, an unknown version, or implausible lengths.
+/// Decodes a serialized SessionRecord of version 1 or 2; false on
+/// truncation, trailing garbage, an unknown version, or implausible
+/// lengths. Version-1 records decode with no recorded questions and no
+/// trace id.
 bool DecodeSessionRecord(std::string_view data, SessionRecord* out);
 
 struct SessionStoreOptions {

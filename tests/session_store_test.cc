@@ -1,7 +1,9 @@
 // Tests for the durability tier: the CRC record framing and SessionRecord
-// codec, SessionStore WAL/checkpoint semantics under fault injection
-// (FaultFs), spill-to-disk + rehydration byte-parity against never-evicted
-// sessions across selectors, §6 configs, and shard counts, resume across a
+// codec (versions 1 and 2), SessionStore WAL/checkpoint semantics under fault
+// injection (FaultFs), spill-to-disk + rehydration byte-parity against
+// never-evicted sessions across selectors, §6 configs, effort changes, a
+// shared selection cache, and shard counts, replay of recorded questions
+// without Select() and its rejection of corrupt journals, resume across a
 // simulated restart (store reopened from disk), and the reaper/evictor vs.
 // resume race under a tiny capacity and millisecond reap ticks.
 
@@ -19,8 +21,11 @@
 #include <thread>
 #include <vector>
 
+#include "core/klp.h"
 #include "core/selectors.h"
 #include "core/sharded_selectors.h"
+#include "obs/journey.h"
+#include "obs/registry.h"
 #include "service/durability.h"
 #include "service/session_manager.h"
 #include "service/session_store.h"
@@ -58,10 +63,40 @@ SessionRecord MakeRecord(uint64_t id) {
   rec.set_trace_enabled(true);
   rec.create_effort = 2;
   rec.initial = {kA, kB, kC};
-  rec.events = {{kEventAnswer, 0, 0},
-                {kEventAnswer, 2, 1},
+  rec.events = {{kEventAnswer, 0, 0, kD},
+                {kEventAnswer, 2, 1, kE},
                 {kEventVerify, 1, 0}};
+  rec.next_question = kF;
+  rec.journey_trace = obs::TraceId{0x0123456789abcdefULL + id, 0xfeedULL};
   return rec;
+}
+
+// The version-1 record layout, frozen: what stores written before records
+// journaled their questions hold on disk. No entities, no pending question,
+// no trace id.
+std::string EncodeV1Record(const SessionRecord& rec) {
+  std::string out;
+  ByteWriter w(&out);
+  w.PutU8(1);
+  w.PutU64(rec.id);
+  w.PutU64(rec.token);
+  w.PutU64(rec.collection_fingerprint);
+  w.PutString(rec.selector);
+  w.PutU32(static_cast<uint32_t>(rec.options.max_questions));
+  w.PutU8(rec.options.handle_dont_know ? 1 : 0);
+  w.PutU8(rec.options.verify_and_backtrack ? 1 : 0);
+  w.PutU32(static_cast<uint32_t>(rec.options.max_backtracks));
+  w.PutU8(rec.flags);
+  w.PutU8(rec.create_effort);
+  w.PutU32(static_cast<uint32_t>(rec.initial.size()));
+  for (EntityId e : rec.initial) w.PutU32(e);
+  w.PutU32(static_cast<uint32_t>(rec.events.size()));
+  for (const SessionEvent& ev : rec.events) {
+    w.PutU8(ev.kind);
+    w.PutU8(ev.value);
+    w.PutU8(ev.effort);
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -92,7 +127,52 @@ TEST(SessionRecordCodec, Roundtrip) {
     EXPECT_EQ(back.events[i].kind, rec.events[i].kind) << i;
     EXPECT_EQ(back.events[i].value, rec.events[i].value) << i;
     EXPECT_EQ(back.events[i].effort, rec.events[i].effort) << i;
+    EXPECT_EQ(back.events[i].entity, rec.events[i].entity) << i;
   }
+  EXPECT_EQ(back.next_question, rec.next_question);
+  EXPECT_EQ(back.journey_trace, rec.journey_trace);
+  EXPECT_EQ(RecordedQuestions(back), (std::vector<EntityId>{kD, kE, kF}));
+}
+
+TEST(SessionRecordCodec, DecodesVersion1WithoutRecordedQuestions) {
+  SessionRecord rec = MakeRecord(5);
+  const std::string v1 = EncodeV1Record(rec);
+  SessionRecord back;
+  ASSERT_TRUE(DecodeSessionRecord(v1, &back));
+  EXPECT_EQ(back.id, rec.id);
+  EXPECT_EQ(back.token, rec.token);
+  EXPECT_EQ(back.selector, rec.selector);
+  EXPECT_EQ(back.create_effort, rec.create_effort);
+  EXPECT_EQ(back.initial, rec.initial);
+  ASSERT_EQ(back.events.size(), rec.events.size());
+  for (size_t i = 0; i < rec.events.size(); ++i) {
+    EXPECT_EQ(back.events[i].kind, rec.events[i].kind) << i;
+    EXPECT_EQ(back.events[i].value, rec.events[i].value) << i;
+    EXPECT_EQ(back.events[i].effort, rec.events[i].effort) << i;
+    EXPECT_EQ(back.events[i].entity, kNoEntity) << i;
+  }
+  EXPECT_EQ(back.next_question, kNoEntity);
+  EXPECT_FALSE(back.journey_trace.valid());
+  EXPECT_TRUE(RecordedQuestions(back).empty())
+      << "a version-1 record must replay through the selector";
+
+  for (size_t len = 0; len < v1.size(); ++len) {
+    EXPECT_FALSE(DecodeSessionRecord(std::string_view(v1).substr(0, len), &back))
+        << "accepted a " << len << "-byte prefix of a version-1 record";
+  }
+  EXPECT_FALSE(DecodeSessionRecord(v1 + '\0', &back));
+}
+
+TEST(SessionRecordCodec, RecordedQuestionsNeedEveryAnswerEntity) {
+  SessionRecord rec = MakeRecord(4);
+  rec.next_question = kNoEntity;
+  EXPECT_EQ(RecordedQuestions(rec), (std::vector<EntityId>{kD, kE}));
+  // One answer without its question (a record upgraded mid-way, or
+  // hand-made) replays wholly through the selector: the recorded questions
+  // are positional, so a gap would shift every later one.
+  rec.events[1].entity = kNoEntity;
+  rec.next_question = kF;
+  EXPECT_TRUE(RecordedQuestions(rec).empty());
 }
 
 TEST(SessionRecordCodec, RejectsEveryTruncation) {
@@ -478,15 +558,29 @@ void ExpectSameOutcome(const SessionView& a, const SessionView& b,
   }
 }
 
-// Drives every target of the paper collection round-robin through two
-// managers — a RAM-only reference and a store-backed one whose capacity of 2
-// forces constant spilling, so nearly every step rehydrates — and asserts
+// Optional knobs of CheckSpillParity beyond the §6 config and selector.
+struct SpillParityExtras {
+  /// Collection to converse over; nullptr = the paper's Fig. 1 collection.
+  const SetCollection* collection = nullptr;
+  /// Shared selection cache for the store-backed side only.
+  SelectionCache* cache = nullptr;
+  /// Effort level both managers serve round `r` at (load-adaptive
+  /// degradation mid-conversation); null = full effort throughout.
+  std::function<int(int round)> effort_at;
+};
+
+// Drives every target of the collection round-robin through two managers —
+// a RAM-only reference and a store-backed one whose capacity of 2 forces
+// constant spilling, so nearly every step rehydrates — and asserts
 // byte-identical transcripts. The spilled side issues tokens, so the test
 // also proves rehydration preserves token checks.
 void CheckSpillParity(const DiscoveryOptions& discovery,
                       std::function<std::unique_ptr<EntitySelector>()> factory,
-                      double dont_know_rate, const char* tag) {
-  SetCollection c = MakePaperCollection();
+                      double dont_know_rate, const char* tag,
+                      const SpillParityExtras& extras = {}) {
+  const SetCollection paper = MakePaperCollection();
+  const SetCollection& c =
+      extras.collection != nullptr ? *extras.collection : paper;
   InvertedIndex idx(c);
 
   SessionManagerOptions ram;
@@ -503,6 +597,7 @@ void CheckSpillParity(const DiscoveryOptions& discovery,
   SessionManagerOptions spill = ram;
   spill.max_sessions = 2;
   spill.session_store = &store;
+  spill.selection_cache = extras.cache;
 
   SessionManager ref(c, idx, ram);
   SessionManager spilly(c, idx, spill);
@@ -529,6 +624,10 @@ void CheckSpillParity(const DiscoveryOptions& discovery,
   bool any = true;
   int guard = 0;
   while (any) {
+    if (extras.effort_at) {
+      ref.SetEffortLevel(extras.effort_at(guard));
+      spilly.SetEffortLevel(extras.effort_at(guard));
+    }
     ASSERT_LT(guard++, 100000) << "sessions failed to terminate";
     any = false;
     for (size_t i = 0; i < ref_s.size(); ++i) {
@@ -576,6 +675,389 @@ TEST(SpillParity, VerifyAndBacktrack) {
   options.verify_and_backtrack = true;
   CheckSpillParity(options, [] { return std::make_unique<MostEvenSelector>(); },
                    0.1, "backtrack");
+}
+
+// 2-LP degraded to 1-step lookahead for rounds 1-2 and restored after:
+// sessions spilled while degraded hold events at both effort levels, and
+// their recorded questions must replay exactly what each level asked. On
+// this sparse collection 1-LP and 2-LP ask differently for every target.
+TEST(SpillParity, KlpEffortChangeMidConversation) {
+  const SetCollection c = RandomCollection(/*seed=*/31, /*n=*/40, /*m=*/28, 0.15);
+  DiscoveryOptions options;
+  options.handle_dont_know = true;
+  SpillParityExtras extras;
+  extras.collection = &c;
+  extras.effort_at = [](int round) { return round >= 1 && round <= 2 ? 1 : 0; };
+  CheckSpillParity(
+      options,
+      [] {
+        return std::make_unique<KlpSelector>(
+            KlpOptions::MakeKlp(2, CostMetric::kAvgDepth));
+      },
+      0.2, "klp_effort", extras);
+}
+
+TEST(SpillParity, SharedSelectionCache) {
+  const SetCollection c = RandomCollection(/*seed=*/32, /*n=*/40, /*m=*/28, 0.3);
+  SelectionCache cache;
+  DiscoveryOptions options;
+  options.handle_dont_know = true;
+  SpillParityExtras extras;
+  extras.collection = &c;
+  extras.cache = &cache;
+  CheckSpillParity(options, [] { return std::make_unique<MostEvenSelector>(); },
+                   0.2, "cache", extras);
+  EXPECT_GT(cache.stats().hits, 0u)
+      << "the cache never served the spilled side; the test lost its point";
+}
+
+// ---------------------------------------------------------------------------
+// Manager integration: recorded-question replay
+// ---------------------------------------------------------------------------
+
+// MostEven (flat and sharded) counting its Select() calls into a shared
+// counter.
+class CountedMostEven : public MostEvenSelector {
+ public:
+  explicit CountedMostEven(std::atomic<int>* selects) : selects_(selects) {}
+  EntityId Select(const SubCollection& sub,
+                  const EntityExclusion* excluded) override {
+    selects_->fetch_add(1);
+    return MostEvenSelector::Select(sub, excluded);
+  }
+
+ private:
+  std::atomic<int>* selects_;
+};
+
+class CountedShardedMostEven : public ShardedMostEvenSelector {
+ public:
+  explicit CountedShardedMostEven(std::atomic<int>* selects)
+      : selects_(selects) {}
+  EntityId Select(const ShardedSubCollection& sub,
+                  const EntityExclusion* excluded) override {
+    selects_->fetch_add(1);
+    return ShardedMostEvenSelector::Select(sub, excluded);
+  }
+
+ private:
+  std::atomic<int>* selects_;
+};
+
+// A store-backed manager with capacity 1 (any Create spills the previous
+// session) over a random collection with don't-know handling on.
+struct ReplayFixture {
+  SetCollection c = RandomCollection(/*seed=*/77, /*n=*/48, /*m=*/32, 0.3);
+  InvertedIndex idx{c};
+  std::atomic<int> selects{0};
+  std::unique_ptr<SessionStore> store;
+  std::unique_ptr<SessionManager> manager;
+
+  explicit ReplayFixture(const std::string& tag) {
+    SessionStoreOptions sopt;
+    sopt.dir = FreshDir(tag);
+    store = std::make_unique<SessionStore>(sopt);
+    EXPECT_TRUE(store->Open(c.Fingerprint()).ok());
+    SessionManagerOptions o;
+    o.discovery.handle_dont_know = true;
+    o.selector_factory = [this] {
+      return std::make_unique<CountedMostEven>(&selects);
+    };
+    o.background_reap = false;
+    o.max_sessions = 1;
+    o.session_store = store.get();
+    manager = std::make_unique<SessionManager>(c, idx, o);
+  }
+};
+
+TEST(RecordedReplay, RehydrationMakesNoSelectCalls) {
+  ReplayFixture f("noselect");
+  SimulatedOracle oracle(&f.c, /*target=*/5, 0.0, /*dont_know_rate=*/0.3, 9);
+  constexpr int kEvents = 4;
+  SessionView before = f.manager->Create({});
+  for (int i = 0; i < kEvents; ++i) {
+    ASSERT_EQ(before.state, SessionState::kAwaitingAnswer);
+    ASSERT_EQ(f.manager->SubmitAnswer(
+                  before.id, oracle.AskMembership(before.question), &before),
+              SessionStatus::kOk);
+  }
+  ASSERT_EQ(before.state, SessionState::kAwaitingAnswer);
+  f.manager->Create({});  // capacity 1: spills `before.id`
+
+  // The record journals every question asked and the one now pending.
+  SessionRecord rec;
+  ASSERT_TRUE(f.store->Get(before.id, &rec));
+  ASSERT_EQ(rec.events.size(), static_cast<size_t>(kEvents));
+  EXPECT_EQ(rec.next_question, before.question);
+
+  f.selects = 0;
+  SessionView resumed;
+  ASSERT_EQ(f.manager->Get(before.id, &resumed), SessionStatus::kOk);
+  EXPECT_EQ(f.selects.load(), 0)
+      << "rehydrating a " << kEvents << "-event record called Select()";
+  EXPECT_EQ(resumed.question, before.question);
+  EXPECT_EQ(resumed.questions_asked, kEvents);
+
+  // The next live step selects exactly once, through the real selector.
+  SessionView after;
+  ASSERT_EQ(f.manager->SubmitAnswer(
+                before.id, oracle.AskMembership(resumed.question), &after),
+            SessionStatus::kOk);
+  ASSERT_EQ(after.state, SessionState::kAwaitingAnswer);
+  EXPECT_EQ(f.selects.load(), 1);
+}
+
+// The replay lives in BasicDiscoverySession, so both engines run it: fed a
+// finished conversation's questions, a fresh session reproduces it without
+// one Select() call, and EndReplay() reports whether the questions matched
+// the conversation exactly — a question left over means they did not.
+template <typename MakeSession>
+void CheckSessionReplay(MakeSession make, std::atomic<int>* selects,
+                        const char* what) {
+  const SetCollection c = MakePaperCollection();
+  for (SetId target = 0; target < c.num_sets(); ++target) {
+    SimulatedOracle oracle(&c, target, 0.0, 0.0, 1);
+    auto live = make(std::vector<EntityId>{});
+    std::vector<EntityId> asked;
+    std::vector<Oracle::Answer> answers;
+    while (!live->done()) {
+      asked.push_back(live->NextQuestion());
+      answers.push_back(oracle.AskMembership(asked.back()));
+      live->SubmitAnswer(answers.back());
+    }
+    for (bool extra : {false, true}) {
+      std::vector<EntityId> recorded = asked;
+      if (extra) recorded.push_back(asked.front());
+      *selects = 0;
+      auto replayed = make(recorded);
+      for (Oracle::Answer a : answers) {
+        ASSERT_EQ(replayed->state(), SessionState::kAwaitingAnswer) << what;
+        replayed->SubmitAnswer(a);
+      }
+      EXPECT_EQ(selects->load(), 0) << what << " target " << target;
+      EXPECT_TRUE(replayed->done()) << what;
+      EXPECT_EQ(replayed->result().transcript, live->result().transcript)
+          << what;
+      EXPECT_EQ(replayed->result().candidates, live->result().candidates)
+          << what;
+      EXPECT_EQ(replayed->EndReplay(), !extra) << what << " target " << target;
+    }
+  }
+}
+
+TEST(RecordedReplay, SessionReplaysRecordedQuestionsOnBothEngines) {
+  const SetCollection c = MakePaperCollection();
+  const InvertedIndex idx(c);
+  std::atomic<int> selects{0};
+  CountedMostEven selector(&selects);
+  CheckSessionReplay(
+      [&](std::vector<EntityId> recorded) {
+        return std::make_unique<DiscoverySession>(
+            c, idx, std::span<const EntityId>{}, selector, DiscoveryOptions{},
+            std::move(recorded));
+      },
+      &selects, "unsharded");
+
+  const ShardedCollection sharded(c, ShardingOptions{3, ShardScheme::kRange});
+  CountedShardedMostEven sharded_selector(&selects);
+  CheckSessionReplay(
+      [&](std::vector<EntityId> recorded) {
+        return std::make_unique<ShardedDiscoverySession>(
+            sharded, std::span<const EntityId>{}, sharded_selector,
+            DiscoveryOptions{}, nullptr, std::move(recorded));
+      },
+      &selects, "sharded");
+}
+
+// Crafted journals: each corruption of an otherwise valid record must fail
+// the rehydration cleanly (kNotFound, counted as a failed rehydration),
+// never reach a partition with a bad entity.
+TEST(RecordedReplay, CorruptRecordedQuestionsFailRehydration) {
+  ReplayFixture f("corrupt");
+  SimulatedOracle oracle(&f.c, /*target=*/11, 0.0, 0.0, 3);
+  // First answer "don't know", so the record holds an exclusion.
+  SessionView view = f.manager->Create({});
+  ASSERT_EQ(view.state, SessionState::kAwaitingAnswer);
+  ASSERT_EQ(f.manager->SubmitAnswer(view.id, Oracle::Answer::kDontKnow, &view),
+            SessionStatus::kOk);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(view.state, SessionState::kAwaitingAnswer);
+    ASSERT_EQ(f.manager->SubmitAnswer(
+                  view.id, oracle.AskMembership(view.question), &view),
+              SessionStatus::kOk);
+  }
+  ASSERT_EQ(view.state, SessionState::kAwaitingAnswer);
+  const SessionId id = view.id;
+  f.manager->Create({});  // spill
+  SessionRecord good;
+  ASSERT_TRUE(f.store->Get(id, &good));
+  ASSERT_EQ(good.events.size(), 3u);
+  ASSERT_EQ(RecordedQuestions(good).size(), 4u);
+
+  obs::Counter* failed = obs::MetricsRegistry::Default().GetCounter(
+      "setdisc_sessions_rehydrate_failed_total");
+  struct Corruption {
+    const char* what;
+    std::function<void(SessionRecord*)> apply;
+  };
+  const EntityId universe = f.c.universe_size();
+  const std::vector<Corruption> corruptions = {
+      {"first question out of range",
+       [universe](SessionRecord* r) { r->events[0].entity = universe; }},
+      {"pending question out of range",
+       [](SessionRecord* r) { r->next_question = kNoEntity - 1; }},
+      {"question already excluded by a don't-know",
+       [](SessionRecord* r) { r->events[1].entity = r->events[0].entity; }},
+      {"answer bound to a question the selector did not ask",
+       [](SessionRecord* r) {
+         // No recorded questions for event 0 forces selector replay; event
+         // 1 then names a question other than the one pending.
+         r->events[0].entity = kNoEntity;
+         r->events[1].entity = r->events[2].entity;
+       }},
+  };
+  for (const Corruption& corruption : corruptions) {
+    SessionRecord bad = good;
+    corruption.apply(&bad);
+    ASSERT_TRUE(f.store->Put(bad));
+    const uint64_t failed_before = failed->Value();
+    SessionView probe;
+    EXPECT_EQ(f.manager->Get(id, &probe), SessionStatus::kNotFound)
+        << corruption.what;
+    if (obs::Enabled()) {
+      EXPECT_EQ(failed->Value(), failed_before + 1) << corruption.what;
+    }
+  }
+
+  // The intact record still resumes.
+  ASSERT_TRUE(f.store->Put(good));
+  SessionView resumed;
+  ASSERT_EQ(f.manager->Get(id, &resumed), SessionStatus::kOk);
+  EXPECT_EQ(resumed.question, view.question);
+}
+
+// A store written before records journaled their questions: the session
+// resumes by selector replay and finishes byte-identically to one that was
+// never evicted, and its record is version 2 from its next step on.
+TEST(RecordedReplay, Version1RecordResumesByteIdentically) {
+  SetCollection c = RandomCollection(/*seed=*/41, /*n=*/40, /*m=*/28, 0.3);
+  InvertedIndex idx(c);
+  DiscoveryOptions discovery;
+  discovery.handle_dont_know = true;
+  auto options = [&] {
+    SessionManagerOptions o;
+    o.discovery = discovery;
+    o.selector_factory = [] { return std::make_unique<MostEvenSelector>(); };
+    o.background_reap = false;
+    return o;
+  };
+  for (SetId target : {SetId{3}, SetId{17}, SetId{29}}) {
+    SessionManager ref(c, idx, options());
+    SimulatedOracle ref_oracle(&c, target, 0.0, 0.25, 100 + target);
+    const SessionView want = ref.Drive(ref.Create({}), ref_oracle);
+    ASSERT_EQ(want.state, SessionState::kFinished);
+
+    const std::string tag = "v1_" + std::to_string(target);
+    const std::string dir = FreshDir(tag);
+    SimulatedOracle oracle(&c, target, 0.0, 0.25, 100 + target);
+    LiveSession s;
+    SessionRecord rec;
+    {
+      SessionStoreOptions sopt;
+      sopt.dir = dir + "_writer";
+      SessionStore store(sopt);
+      ASSERT_TRUE(store.Open(c.Fingerprint()).ok());
+      SessionManagerOptions o = options();
+      o.session_store = &store;
+      SessionManager writer(c, idx, o);
+      s.view = writer.Create({}, false, {}, /*issue_token=*/true);
+      s.token = s.view.token;
+      s.oracle = std::make_unique<SimulatedOracle>(oracle);
+      for (int i = 0; i < 3; ++i) StepOnce(writer, s);
+      ASSERT_NE(s.view.state, SessionState::kFinished);
+      ASSERT_TRUE(store.Get(s.view.id, &rec));
+    }
+    // Lay the record down on disk in the version-1 layout.
+    std::filesystem::create_directories(dir);
+    {
+      std::string wal;
+      AppendRecord(&wal, std::string(1, '\x01') + EncodeV1Record(rec));
+      std::ofstream(dir + "/sessions.wal", std::ios::binary) << wal;
+    }
+    SessionStoreOptions sopt;
+    sopt.dir = dir;
+    SessionStore store(sopt);
+    ASSERT_TRUE(store.Open(c.Fingerprint()).ok());
+    SessionRecord on_disk;
+    ASSERT_TRUE(store.Get(s.view.id, &on_disk));
+    ASSERT_TRUE(RecordedQuestions(on_disk).empty());
+
+    SessionManagerOptions o = options();
+    o.session_store = &store;
+    SessionManager manager(c, idx, o);
+    SessionView resumed;
+    ASSERT_EQ(manager.Get(s.view.id, &resumed, s.token), SessionStatus::kOk);
+    EXPECT_EQ(resumed.question, s.view.question);
+    // One live step re-Puts the record — as version 2, every answer bound
+    // to its question.
+    ASSERT_TRUE(StepOnce(manager, s));
+    SessionRecord now;
+    ASSERT_TRUE(store.Get(s.view.id, &now));
+    const std::vector<EntityId> questions = RecordedQuestions(now);
+    ASSERT_EQ(questions.size(), static_cast<size_t>(s.view.questions_asked) + 1);
+    EXPECT_EQ(questions.back(), s.view.question);
+
+    int guard = 0;
+    while (StepOnce(manager, s)) ASSERT_LT(guard++, 10000);
+    ExpectSameOutcome(want, s.view, tag.c_str());
+  }
+}
+
+// The journey trace id rides in the record: a resumed session's steps keep
+// their conversation's trace, after a spill and after a full restart.
+TEST(RecordedReplay, ResumedSessionKeepsItsJourneyTrace) {
+  SetCollection c = MakePaperCollection();
+  InvertedIndex idx(c);
+  const std::string dir = FreshDir("trace");
+  const obs::TraceId trace = obs::MakeTraceId();
+  auto options = [](SessionStore* store) {
+    SessionManagerOptions o;
+    o.selector_factory = [] { return std::make_unique<MostEvenSelector>(); };
+    o.background_reap = false;
+    o.max_sessions = 1;
+    o.session_store = store;
+    return o;
+  };
+  SessionStoreOptions sopt;
+  sopt.dir = dir;
+  SessionId id = kNoSession;
+  {
+    SessionStore store(sopt);
+    ASSERT_TRUE(store.Open(c.Fingerprint()).ok());
+    SessionManager manager(c, idx, options(&store));
+    SessionView view = manager.Create({}, false, trace);
+    ASSERT_EQ(view.state, SessionState::kAwaitingAnswer);
+    id = view.id;
+    manager.Create({});  // spill
+    ASSERT_EQ(manager.num_active(), 1u);
+
+    obs::JourneyContext jc;
+    obs::JourneyScope scope(&jc);
+    ASSERT_EQ(manager.SubmitAnswer(id, Oracle::Answer::kYes, &view),
+              SessionStatus::kOk);
+    EXPECT_EQ(jc.trace, trace) << "spilled session lost its trace id";
+    ASSERT_EQ(view.state, SessionState::kAwaitingAnswer);
+    ASSERT_TRUE(store.Flush().ok());
+  }
+  SessionStore store(sopt);
+  ASSERT_TRUE(store.Open(c.Fingerprint()).ok());
+  SessionManager manager(c, idx, options(&store));
+  obs::JourneyContext jc;
+  obs::JourneyScope scope(&jc);
+  SessionView view;
+  ASSERT_EQ(manager.SubmitAnswer(id, Oracle::Answer::kNo, &view),
+            SessionStatus::kOk);
+  EXPECT_EQ(jc.trace, trace) << "restarted session lost its trace id";
 }
 
 // ---------------------------------------------------------------------------
