@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "collection/inverted_index.h"
@@ -87,10 +88,22 @@ inline bool HasFlag(int argc, char** argv, const char* flag) {
   return false;
 }
 
+/// The compiler this bench was built with, for the JSON host block.
+inline std::string CompilerName() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "g++ " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
 /// Machine-readable bench output (`--json`): a flat list of rows, each a
 /// string->value object, wrapped with the bench name and active scale —
 ///
-///   {"bench": "counting", "scale": "quick", "rows": [{...}, ...]}
+///   {"bench": "counting", "scale": "quick",
+///    "host": {"nproc": 4, "compiler": "g++ 12.2.0"}, "rows": [{...}, ...]}
 ///
 /// — so successive runs diff/trend with jq instead of table scraping (the
 /// committed BENCH_*.json baselines). In --json mode benches print their
@@ -165,7 +178,9 @@ class JsonReport {
   void Print() const {
     if (!enabled_) return;
     std::cout << "{\"bench\": \"" << Row::Escaped(bench_) << "\", \"scale\": \""
-              << BenchScaleName(GetBenchScale()) << "\", \"rows\": [";
+              << BenchScaleName(GetBenchScale()) << "\", \"host\": {\"nproc\": "
+              << std::thread::hardware_concurrency() << ", \"compiler\": \""
+              << Row::Escaped(CompilerName()) << "\"}, \"rows\": [";
     for (size_t i = 0; i < rows_.size(); ++i) {
       std::cout << (i == 0 ? "\n" : ",\n") << "  {" << rows_[i] << "}";
     }

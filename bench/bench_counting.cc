@@ -104,103 +104,102 @@ std::vector<ModeSpec> CountingStrategies(const std::vector<double>* weights) {
   };
 }
 
-struct StepTiming {
-  double us_per_step = 0.0;
-  size_t steps = 0;
+/// One selector mode's session maker plus its between-conversation reset.
+template <typename Session>
+struct Runner {
+  std::function<std::unique_ptr<Session>(std::span<const EntityId> initial)>
+      make_session;
+  std::function<void()> reset;
 };
 
 /// One conversation per seed-pair sub-collection: initial examples {a, b},
-/// target a member set, driven to completion. One selector is reused across
-/// all of them — the steady state of a serving session slot — and the k-LP
-/// memo is cleared between conversations so the uncached counting cost is
-/// what gets measured (memo hits skip counting in both modes identically).
-/// Transcripts accumulate for the cross-mode parity check.
-template <typename MakeSession, typename Reset>
-StepTiming RunConversations(const SetCollection& c,
-                            const std::vector<SeedPairEntry>& subs,
-                            double dont_know_rate, MakeSession make_session,
-                            Reset reset, std::vector<Transcript>* transcripts) {
-  StepTiming t;
-  WallTimer timer;
+/// target a member set, driven to completion. One selector per mode is
+/// reused across all of them — the steady state of a serving session slot —
+/// and the k-LP memo is cleared between conversations so the uncached
+/// counting cost is what gets measured (memo hits skip counting in both
+/// modes identically). Appends the conversation's transcript, its wall time
+/// and every step's time: session creation (the first question) and each
+/// answered step.
+template <typename Session>
+void RunConversation(const SetCollection& c, const SeedPairEntry& entry,
+                     size_t i, double dont_know_rate,
+                     const Runner<Session>& runner,
+                     std::vector<Transcript>* transcripts,
+                     std::vector<double>* step_us, double* seconds) {
+  SetId target = entry.set_ids[(i * 7919 + 13) % entry.set_ids.size()];
+  SimulatedOracle oracle(&c, target, 0.0, dont_know_rate, /*seed=*/1000 + i);
+  std::vector<EntityId> initial = {entry.a, entry.b};
+  WallTimer total;
+  WallTimer step;
+  auto session = runner.make_session(initial);
+  step_us->push_back(step.Seconds() * 1e6);
+  while (!session->done()) {
+    const Oracle::Answer answer =
+        oracle.AskMembership(session->NextQuestion());
+    step.Reset();
+    session->SubmitAnswer(answer);
+    step_us->push_back(step.Seconds() * 1e6);
+  }
+  *seconds = total.Seconds();
+  transcripts->push_back(session->TakeResult().transcript);
+  runner.reset();
+}
+
+/// Full-recount vs delta for one row, interleaved per conversation (the
+/// order alternates), so a slow phase of the host lands on both modes
+/// instead of on whichever ran second. The speedup is the median of the
+/// paired per-conversation ratios; the us/step columns are the plain means.
+struct PairedTiming {
+  double full_us_per_step = 0.0;
+  double delta_us_per_step = 0.0;
+  double full_p99_us = 0.0;
+  double delta_p99_us = 0.0;
+  double speedup = 0.0;
+  size_t steps = 0;
+};
+
+template <typename Session>
+PairedTiming RunPaired(const SetCollection& c,
+                       const std::vector<SeedPairEntry>& subs,
+                       double dont_know_rate, const Runner<Session>& full,
+                       const Runner<Session>& delta,
+                       std::vector<Transcript>* full_transcripts,
+                       std::vector<Transcript>* delta_transcripts) {
+  // Warm each mode's scratch (and fault in the corpus) outside the timing.
+  {
+    std::vector<Transcript> warmup;
+    std::vector<double> unused;
+    double seconds = 0.0;
+    RunConversation(c, subs.front(), 0, dont_know_rate, full, &warmup,
+                    &unused, &seconds);
+    RunConversation(c, subs.front(), 0, dont_know_rate, delta, &warmup,
+                    &unused, &seconds);
+  }
+  PairedTiming t;
+  std::vector<double> full_steps, delta_steps, ratios;
+  double full_total = 0.0, delta_total = 0.0;
   for (size_t i = 0; i < subs.size(); ++i) {
-    const SeedPairEntry& entry = subs[i];
-    SetId target = entry.set_ids[(i * 7919 + 13) % entry.set_ids.size()];
-    SimulatedOracle oracle(&c, target, 0.0, dont_know_rate,
-                           /*seed=*/1000 + i);
-    std::vector<EntityId> initial = {entry.a, entry.b};
-    auto session = make_session(initial);
-    while (!session->done()) {
-      session->SubmitAnswer(oracle.AskMembership(session->NextQuestion()));
+    double full_s = 0.0, delta_s = 0.0;
+    for (int leg = 0; leg < 2; ++leg) {
+      if ((leg == 0) == (i % 2 == 0)) {
+        RunConversation(c, subs[i], i, dont_know_rate, full, full_transcripts,
+                        &full_steps, &full_s);
+      } else {
+        RunConversation(c, subs[i], i, dont_know_rate, delta,
+                        delta_transcripts, &delta_steps, &delta_s);
+      }
     }
-    DiscoveryResult result = session->TakeResult();
-    t.steps += result.transcript.size();
-    transcripts->push_back(std::move(result.transcript));
-    reset();
+    full_total += full_s;
+    delta_total += delta_s;
+    ratios.push_back(full_s / delta_s);
+    t.steps += delta_transcripts->back().size();
   }
-  double seconds = timer.Seconds();
-  t.us_per_step = seconds * 1e6 / static_cast<double>(t.steps);
+  t.full_us_per_step = full_total * 1e6 / static_cast<double>(t.steps);
+  t.delta_us_per_step = delta_total * 1e6 / static_cast<double>(t.steps);
+  t.full_p99_us = Percentile(std::move(full_steps), 99);
+  t.delta_p99_us = Percentile(std::move(delta_steps), 99);
+  t.speedup = Percentile(std::move(ratios), 50);
   return t;
-}
-
-StepTiming RunUnsharded(const SetCollection& c, const InvertedIndex& idx,
-                        const std::vector<SeedPairEntry>& subs,
-                        const ModeSpec& spec, bool differential,
-                        double dont_know_rate, const DiscoveryOptions& options,
-                        std::vector<Transcript>* transcripts) {
-  auto selector = spec.make(differential);
-  auto reset = [&] {
-    if (spec.reset) spec.reset(*selector);
-  };
-  // Warm the scratch (and fault in the corpus) outside the timer.
-  {
-    std::vector<Transcript> warmup;
-    RunConversations(
-        c, {subs.front()}, dont_know_rate,
-        [&](std::span<const EntityId> initial) {
-          return std::make_unique<DiscoverySession>(c, idx, initial, *selector,
-                                                    options);
-        },
-        reset, &warmup);
-  }
-  return RunConversations(
-      c, subs, dont_know_rate,
-      [&](std::span<const EntityId> initial) {
-        return std::make_unique<DiscoverySession>(c, idx, initial, *selector,
-                                                  options);
-      },
-      reset, transcripts);
-}
-
-StepTiming RunSharded(const ShardedCollection& sharded,
-                      const std::vector<SeedPairEntry>& subs,
-                      const ModeSpec& spec, bool differential,
-                      double dont_know_rate, const DiscoveryOptions& options,
-                      ThreadPool* pool, std::vector<Transcript>* transcripts) {
-  const SetCollection& c = sharded.base();
-  auto selector = spec.make_sharded(differential);
-  selector->set_pool(pool);
-  auto reset = [&] {
-    if (spec.reset_sharded) spec.reset_sharded(*selector);
-  };
-  {
-    std::vector<Transcript> warmup;
-    RunConversations(
-        c, {subs.front()}, dont_know_rate,
-        [&](std::span<const EntityId> initial) {
-          return std::make_unique<ShardedDiscoverySession>(sharded, initial,
-                                                           *selector, options,
-                                                           pool);
-        },
-        reset, &warmup);
-  }
-  return RunConversations(
-      c, subs, dont_know_rate,
-      [&](std::span<const EntityId> initial) {
-        return std::make_unique<ShardedDiscoverySession>(sharded, initial,
-                                                         *selector, options,
-                                                         pool);
-      },
-      reset, transcripts);
 }
 
 void RequireParity(const std::vector<Transcript>& full,
@@ -274,51 +273,75 @@ int main(int argc, char** argv) {
                 ? Format(" (don't-know rate %.1f: the re-emit path)",
                          dont_know_rate)
                 : std::string())
-        << ", k-LP memo cleared per conversation (uncached regime):\n";
+        << ", k-LP memo cleared per conversation (uncached regime);\n"
+        << "full and delta interleaved per conversation, speedup = median "
+           "paired per-conversation ratio:\n";
     TablePrinter table({"selector", "engine", "full us/step", "delta us/step",
-                        "speedup", "steps"});
+                        "full p99 us", "delta p99 us", "speedup", "steps"});
     for (const ModeSpec& spec : CountingStrategies(&weights)) {
       for (bool use_sharded : {false, true}) {
         if (use_sharded && !spec.make_sharded) continue;
         std::vector<Transcript> full_transcripts, delta_transcripts;
-        StepTiming full, delta;
+        PairedTiming t;
         if (!use_sharded) {
-          full = RunUnsharded(w.corpus, idx, w.subcollections, spec,
-                              /*differential=*/false, dont_know_rate, options,
-                              &full_transcripts);
-          delta = RunUnsharded(w.corpus, idx, w.subcollections, spec,
-                               /*differential=*/true, dont_know_rate, options,
-                               &delta_transcripts);
+          auto full_sel = spec.make(/*differential=*/false);
+          auto delta_sel = spec.make(/*differential=*/true);
+          auto runner = [&](EntitySelector* sel) {
+            return Runner<DiscoverySession>{
+                [&, sel](std::span<const EntityId> initial) {
+                  return std::make_unique<DiscoverySession>(
+                      w.corpus, idx, initial, *sel, options);
+                },
+                [&, sel] {
+                  if (spec.reset) spec.reset(*sel);
+                }};
+          };
+          t = RunPaired(w.corpus, w.subcollections, dont_know_rate,
+                        runner(full_sel.get()), runner(delta_sel.get()),
+                        &full_transcripts, &delta_transcripts);
         } else {
-          full = RunSharded(sharded, w.subcollections, spec,
-                            /*differential=*/false, dont_know_rate, options,
-                            &pool, &full_transcripts);
-          delta = RunSharded(sharded, w.subcollections, spec,
-                             /*differential=*/true, dont_know_rate, options,
-                             &pool, &delta_transcripts);
+          auto full_sel = spec.make_sharded(/*differential=*/false);
+          auto delta_sel = spec.make_sharded(/*differential=*/true);
+          full_sel->set_pool(&pool);
+          delta_sel->set_pool(&pool);
+          auto runner = [&](ShardedEntitySelector* sel) {
+            return Runner<ShardedDiscoverySession>{
+                [&, sel](std::span<const EntityId> initial) {
+                  return std::make_unique<ShardedDiscoverySession>(
+                      sharded, initial, *sel, options, &pool);
+                },
+                [&, sel] {
+                  if (spec.reset_sharded) spec.reset_sharded(*sel);
+                }};
+          };
+          t = RunPaired(w.corpus, w.subcollections, dont_know_rate,
+                        runner(full_sel.get()), runner(delta_sel.get()),
+                        &full_transcripts, &delta_transcripts);
         }
         RequireParity(full_transcripts, delta_transcripts,
                       spec.name + (use_sharded ? "/K=4" : "/unsharded"));
         const char* engine = use_sharded ? "K=4" : "unsharded";
-        const double speedup = full.us_per_step / delta.us_per_step;
-        if (assert_speedups && speedup < 1.0) {
+        if (assert_speedups && t.speedup < 1.0) {
           assert_failures.push_back(
               Format("%s/%s dk=%.1f: %.3fx", spec.name.c_str(), engine,
-                     dont_know_rate, speedup));
+                     dont_know_rate, t.speedup));
         }
-        table.AddRow({spec.name, engine, Format("%.1f", full.us_per_step),
-                      Format("%.1f", delta.us_per_step),
-                      Format("%.2fx", full.us_per_step / delta.us_per_step),
-                      Format("%zu", delta.steps)});
+        table.AddRow({spec.name, engine, Format("%.1f", t.full_us_per_step),
+                      Format("%.1f", t.delta_us_per_step),
+                      Format("%.0f", t.full_p99_us),
+                      Format("%.0f", t.delta_p99_us),
+                      Format("%.2fx", t.speedup), Format("%zu", t.steps)});
         report.Add(JsonReport::Row()
                        .Str("section", "per_step")
                        .Str("selector", spec.name)
                        .Str("engine", engine)
                        .Num("dont_know_rate", dont_know_rate)
-                       .Num("full_us_per_step", full.us_per_step)
-                       .Num("delta_us_per_step", delta.us_per_step)
-                       .Num("speedup", full.us_per_step / delta.us_per_step)
-                       .Int("steps", static_cast<int64_t>(delta.steps))
+                       .Num("full_us_per_step", t.full_us_per_step)
+                       .Num("delta_us_per_step", t.delta_us_per_step)
+                       .Num("full_p99_us", t.full_p99_us)
+                       .Num("delta_p99_us", t.delta_p99_us)
+                       .Num("speedup", t.speedup)
+                       .Int("steps", static_cast<int64_t>(t.steps))
                        .Bool("parity", true));
       }
     }

@@ -21,8 +21,12 @@ int main() {
                             {"T5", 88.5, 30.6}, {"T6", 99.7, 98.1},
                             {"T7", 99.9, 99.5}};
 
+  // "dup avg%" is ours only: the share of a node's candidates skipped
+  // because they split it exactly like an earlier candidate. Those are
+  // already inside "pruned" (never fully evaluated); the column says how
+  // much of the pruning the duplicate skip does.
   TablePrinter t({"target", "paper avg%", "ours avg%", "paper min%",
-                  "ours min%", "nodes"});
+                  "ours min%", "dup avg%", "nodes"});
   std::vector<TargetQuery> targets = MakeTargetQueries(people);
   for (size_t i = 0; i < targets.size(); ++i) {
     QueryDiscoveryInstance inst = BuildQueryDiscoveryInstance(
@@ -34,16 +38,18 @@ int main() {
     KlpSelector klp(opts);
     DecisionTree tree = DecisionTree::Build(full, klp);
 
-    RunningStat pruned;
+    RunningStat pruned, duplicate;
     for (const NodeStats& node : klp.stats().per_node) {
       // Nodes with a single candidate entity offer nothing to prune; the
       // percentage is only meaningful where there is a choice.
       if (node.candidates <= 1) continue;
       pruned.Add(100.0 * node.PrunedFraction());
+      duplicate.Add(100.0 * static_cast<double>(node.pruned_by_duplicate) /
+                    static_cast<double>(node.candidates));
     }
     t.AddRow({targets[i].id, Format("%.1f", paper[i].paper_avg),
               Format("%.1f", pruned.mean()), Format("%.1f", paper[i].paper_min),
-              Format("%.1f", pruned.min()),
+              Format("%.1f", pruned.min()), Format("%.1f", duplicate.mean()),
               Format("%lld", static_cast<long long>(pruned.count()))});
   }
   t.Print(std::cout);

@@ -69,6 +69,23 @@ class EntityCounter {
   /// to the counted sub-collection's universe).
   std::span<const uint32_t> dense() const { return counts_; }
 
+  /// The entities CountDense touched, in first-occurrence order: exactly
+  /// the nonzero entries of dense(), so a caller can visit them without
+  /// walking a longer list that happens to contain them.
+  std::span<const EntityId> touched() const {
+    return {touched_.data(), num_touched_};
+  }
+
+  /// Lends the all-zero dense array (sized for `universe`) as scratch, e.g.
+  /// an entity -> slot map, so a caller needs no universe-sized array of
+  /// its own. Any live CountDense residue is cleared first. The caller must
+  /// zero every entry it wrote before the next Count* call on this counter.
+  std::span<uint32_t> BorrowZeroed(EntityId universe) {
+    if (dense_live_) ClearDense();
+    EnsureCapacity(universe);
+    return counts_;
+  }
+
   /// Sweep-vs-sort crossover: the dense sweep wins once at least
   /// universe / kDenseSweepDivisor entities were touched. Calibrated by
   /// bench_micro's BM_EmitCrossover sweep (RelWithDebInfo, x86-64: the sort

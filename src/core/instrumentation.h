@@ -17,6 +17,7 @@ struct NodeStats {
   uint64_t fully_evaluated = 0;   ///< entities whose k-step bound completed
   uint64_t pruned_by_break = 0;   ///< skipped by the sorted early break (l.14)
   uint64_t pruned_by_child = 0;   ///< abandoned when a child hit its UL
+  uint64_t pruned_by_duplicate = 0;  ///< same split as an earlier candidate
   uint64_t excluded_by_beam = 0;  ///< outside the k-LPLE/k-LPLVE beam
 
   /// Fraction of candidate entities whose k-step evaluation was avoided —

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "collection/count_kernels.h"
+#include "collection/fingerprint.h"
 #include "obs/metrics.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -32,11 +33,15 @@ void PublishNodeStats(const NodeStats& node) {
   static obs::Counter* const pruned_beam =
       obs::MetricsRegistry::Default().GetCounter("setdisc_klp_pruned_total",
                                                  {{"reason", "beam"}});
+  static obs::Counter* const pruned_duplicate =
+      obs::MetricsRegistry::Default().GetCounter("setdisc_klp_pruned_total",
+                                                 {{"reason", "duplicate"}});
   candidates->Add(node.candidates);
   fully_evaluated->Add(node.fully_evaluated);
   pruned_break->Add(node.pruned_by_break);
   pruned_child->Add(node.pruned_by_child);
   pruned_beam->Add(node.excluded_by_beam);
+  pruned_duplicate->Add(node.pruned_by_duplicate);
 }
 
 /// Imbalance | |C1| - |C2| | of a split with |C1| = c out of n sets. Sorting
@@ -49,7 +54,79 @@ inline uint64_t Imbalance(uint64_t c, uint64_t n) {
   return c > other ? c - other : other - c;
 }
 
+/// The smallest imbalance whose 1-step bound reaches `limit` for a split of
+/// n sets (informative splits only: imbalance <= n - 2, same parity as n),
+/// or UINT64_MAX when even the least even split stays below it. LB_1 is
+/// monotone in the imbalance, so a binary search over the parity class
+/// finds it.
+uint64_t ImbalanceReaching(CostMetric metric, Cost limit, uint64_t n) {
+  // Search over the smaller half s in [1, n/2]: the imbalance n - 2s falls
+  // as s grows, so LB_1 is non-increasing in s. Find the largest s whose
+  // bound still reaches the limit.
+  if (Lb1(metric, 1, n - 1) < limit) return UINT64_MAX;
+  uint64_t lo = 1, hi = n / 2;
+  while (lo < hi) {
+    const uint64_t mid = lo + (hi - lo + 1) / 2;
+    if (Lb1(metric, mid, n - mid) >= limit) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  return n - 2 * lo;
+}
+
+/// Keeps the lower (imbalance, entity) of `pick` and a candidate.
+inline void Consider(LeafPick* pick, EntityId e, uint64_t c, uint64_t n) {
+  const uint64_t imb = Imbalance(c, n);
+  if (imb < pick->imbalance || (imb == pick->imbalance && e < pick->entity)) {
+    *pick = {e, c, imb};
+  }
+}
+
 }  // namespace
+
+LeafPick MostEvenSmallerHalf(std::span<const EntityId> touched,
+                             std::span<const uint32_t> dense, uint64_t n,
+                             const EntityExclusion* excluded) {
+  // The child's entities are exactly the ones its dense count touched. One
+  // in every child set is uninformative; one present but not full here is
+  // informative at the parent too, so only the exclusion mask remains.
+  LeafPick pick;
+  for (const EntityId e : touched) {
+    const uint64_t c = dense[e];
+    if (c == n) continue;
+    if (excluded != nullptr && e < excluded->size() && (*excluded)[e]) {
+      continue;
+    }
+    Consider(&pick, e, c, n);
+  }
+  return pick;
+}
+
+LeafPick MostEvenLargerHalf(std::span<const EntityCount> parent,
+                            bool most_even_order,
+                            std::span<const uint32_t> small_dense,
+                            uint64_t small_n, uint64_t n,
+                            uint64_t stop_imbalance) {
+  // Child count c' = c - d with 0 <= d <= small_n, so the child imbalance
+  // |2c' - n| = |(2c - n_parent) - (2d - small_n)| is at least
+  // |2c - n_parent| - small_n. Ties keep walking: the lowest id wins.
+  const uint64_t parent_n = n + small_n;
+  LeafPick pick;
+  for (const EntityCount& ec : parent) {
+    if (most_even_order) {
+      const uint64_t parent_imb = Imbalance(ec.count, parent_n);
+      const uint64_t lower = parent_imb > small_n ? parent_imb - small_n : 0;
+      if (lower > pick.imbalance || lower >= stop_imbalance) break;
+    }
+    const EntityId e = ec.entity;
+    const uint64_t c = ec.count - (e < small_dense.size() ? small_dense[e] : 0);
+    if (c == 0 || c == n) continue;
+    Consider(&pick, e, c, n);
+  }
+  return pick;
+}
 
 KlpOptions KlpOptions::MakeKlp(int k, CostMetric metric) {
   KlpOptions o;
@@ -202,9 +279,141 @@ KlpSelection KlpSelector::SelectWithBoundImpl(const SubCollection& sub,
   stats_.totals.pruned_by_break += node.pruned_by_break;
   stats_.totals.pruned_by_child += node.pruned_by_child;
   stats_.totals.excluded_by_beam += node.excluded_by_beam;
+  stats_.totals.pruned_by_duplicate += node.pruned_by_duplicate;
   if (options_.record_per_node_stats) stats_.per_node.push_back(node);
   if (obs::Enabled()) PublishNodeStats(node);
+  obs::NoteLookahead({sub.size(), node.candidates, node.fully_evaluated,
+                      node.pruned_by_duplicate});
   return result;
+}
+
+KlpSelection KlpSelector::SelectLeaf(const SubCollection& sub,
+                                     Cost upper_limit, const DeltaHint& hint,
+                                     const EntityExclusion* excluded) {
+  const uint64_t n = sub.size();
+  if (!*hint.dense_valid) {
+    hint.counter->CountDense(*hint.small);
+    *hint.dense_valid = true;
+  }
+  LeafPick pick;
+  if (&sub == hint.small) {
+    pick = MostEvenSmallerHalf(hint.counter->touched(), hint.counter->dense(),
+                               n, excluded);
+  } else {
+    // Entries whose imbalance reaches the limit cannot answer below it, so
+    // the walk may stop there as well.
+    const uint64_t stop = upper_limit < kInfiniteCost
+                              ? ImbalanceReaching(options_.metric,
+                                                  upper_limit, n)
+                              : UINT64_MAX;
+    pick = MostEvenLargerHalf(*hint.parent_order, options_.sort_candidates,
+                              hint.counter->dense(), hint.small->size(), n,
+                              stop);
+  }
+  if (pick.entity == kNoEntity) return {kNoEntity, upper_limit};
+  const Cost bound = Lb1(options_.metric, pick.count, n - pick.count);
+  // What a memo hit with this bound answers: nothing below the limit.
+  if (upper_limit <= bound) return {kNoEntity, bound};
+  return {pick.entity, bound};
+}
+
+void KlpSelector::PartitionIndex::Build(const SubCollection& sub,
+                                        const std::vector<EntityCount>& counts,
+                                        EntityCounter* counter) {
+  const size_t m = counts.size();
+  n = static_cast<uint32_t>(sub.size());
+  offsets.resize(m + 1);
+  offsets[0] = 0;
+  for (size_t i = 0; i < m; ++i) offsets[i + 1] = offsets[i] + counts[i].count;
+  positions.resize(offsets[m]);
+  keys.assign(m, 0);
+  // The counter's dense array is all-zero between counts: borrow it as the
+  // entity -> (candidate index + 1) map instead of keeping a universe-sized
+  // array per level, and use positions' own offsets as fill cursors.
+  const SetCollection& c = sub.collection();
+  const std::span<uint32_t> slot = counter->BorrowZeroed(c.universe_size());
+  for (size_t i = 0; i < m; ++i) {
+    slot[counts[i].entity] = static_cast<uint32_t>(i + 1);
+  }
+  const std::span<const SetId> ids = sub.ids();
+  for (uint32_t p = 0; p < n; ++p) {
+    const uint64_t bit = FingerprintBit(p);
+    for (const EntityId e : c.set(ids[p])) {
+      const uint32_t j = slot[e];
+      if (j == 0) continue;
+      positions[offsets[j - 1]++] = p;
+      keys[j - 1] ^= bit;
+    }
+  }
+  // Each start was used as its candidate's fill cursor and now holds that
+  // candidate's end, which is the next one's start: shift them back.
+  for (size_t i = m; i > 0; --i) offsets[i] = offsets[i - 1];
+  offsets[0] = 0;
+  uint64_t all = 0;
+  for (uint32_t p = 0; p < n; ++p) all ^= FingerprintBit(p);
+  for (size_t i = 0; i < m; ++i) {
+    slot[counts[i].entity] = 0;
+    const uint64_t key = std::min(keys[i], keys[i] ^ all);
+    keys[i] = key == 0 ? 1 : key;
+  }
+  size_t cap = 16;
+  while (cap < 2 * m) cap <<= 1;
+  table_keys.assign(cap, 0);
+  table_slots.resize(cap);
+}
+
+bool KlpSelector::PartitionIndex::SameSplit(size_t i, size_t j) const {
+  const uint32_t* a = positions.data() + offsets[i];
+  const uint32_t* a_end = positions.data() + offsets[i + 1];
+  const uint32_t* b = positions.data() + offsets[j];
+  const uint32_t* b_end = positions.data() + offsets[j + 1];
+  const size_t size_a = a_end - a, size_b = b_end - b;
+  if (size_a == size_b && std::equal(a, a_end, b)) return true;
+  if (size_a + size_b != n) return false;
+  // Complementary halves: sizes add up to |C|, so disjoint means exact.
+  while (a != a_end && b != b_end) {
+    if (*a == *b) return false;
+    if (*a < *b) {
+      ++a;
+    } else {
+      ++b;
+    }
+  }
+  return true;
+}
+
+bool KlpSelector::PartitionIndex::SeenSplit(size_t i) {
+  const size_t mask = table_keys.size() - 1;
+  for (size_t h = keys[i] & mask; table_keys[h] != 0; h = (h + 1) & mask) {
+    if (table_keys[h] == keys[i] && SameSplit(i, table_slots[h])) return true;
+  }
+  Insert(i);
+  return false;
+}
+
+void KlpSelector::PartitionIndex::Insert(size_t i) {
+  const size_t mask = table_keys.size() - 1;
+  size_t h = keys[i] & mask;
+  while (table_keys[h] != 0) h = (h + 1) & mask;
+  table_keys[h] = keys[i];
+  table_slots[h] = static_cast<uint32_t>(i);
+}
+
+std::pair<SubCollection, SubCollection> KlpSelector::PartitionIndex::Cut(
+    const SubCollection& sub, size_t i) const {
+  const std::span<const SetId> ids = sub.ids();
+  const uint32_t* pos = positions.data() + offsets[i];
+  const size_t c = offsets[i + 1] - offsets[i];
+  std::vector<SetId> in(c), out;
+  out.reserve(n - c);
+  uint32_t p = 0;
+  for (size_t t = 0; t < c; ++t) {
+    for (; p < pos[t]; ++p) out.push_back(ids[p]);
+    in[t] = ids[p++];
+  }
+  for (; p < n; ++p) out.push_back(ids[p]);
+  return {SubCollection(&sub.collection(), std::move(in)),
+          SubCollection(&sub.collection(), std::move(out))};
 }
 
 void KlpSelector::MaterializeFromHint(const SubCollection& sub,
@@ -257,6 +466,11 @@ KlpSelection KlpSelector::SelectImpl(const SubCollection& sub, int k,
   // is already at or below LB_0 nothing can qualify.
   if (options_.enable_upper_limits && upper_limit <= Lb0(options_.metric, n)) {
     return {kNoEntity, upper_limit};
+  }
+
+  // The last lookahead level of a hinted child: one fused scan, no memo.
+  if (k <= 1 && hint != nullptr) {
+    return SelectLeaf(sub, upper_limit, *hint, excluded);
   }
 
   const int effective_beam =
@@ -384,6 +598,21 @@ KlpSelection KlpSelector::SelectImpl(const SubCollection& sub, int k,
   Cost best = upper_limit;  // AFLV; exclusive — candidates must go below it
   EntityId best_entity = kNoEntity;
 
+  // Duplicate-partition skip. The index that detects duplicates (and then
+  // serves the partitions) costs about one pass over C's incidences, so it
+  // is built ski-rental style: once the per-candidate partitions done so
+  // far have cost as much. Steps that break after a candidate or two never
+  // pay for it.
+  PartitionIndex& index = level.index;
+  bool indexed = false;
+  uint64_t partitioned_sets = 0;
+  uint64_t index_cost = UINT64_MAX;  // never, unless the skip is on
+  if (options_.enable_memoization && limit > 1) {
+    // Position offsets are 32-bit; a node past that simply never indexes.
+    const uint64_t incidences = sub.TotalElements();
+    if (incidences <= UINT32_MAX) index_cost = incidences;
+  }
+
   for (size_t i = 0; i < limit; ++i) {
     const EntityId e = counts[i].entity;
     const uint64_t c1 = counts[i].count;
@@ -403,14 +632,26 @@ KlpSelection KlpSelector::SelectImpl(const SubCollection& sub, int k,
       continue;
     }
 
-    auto [c_in, c_out] = sub.Partition(e);
+    if (!indexed && partitioned_sets >= index_cost) {
+      index.Build(sub, counts, &level.counter);
+      indexed = true;
+      // Splits examined before the index existed still count as seen.
+      for (size_t j = 0; j < i; ++j) index.Insert(j);
+    }
+    if (indexed && index.SeenSplit(i)) {
+      if (top && node_stats != nullptr) ++node_stats->pruned_by_duplicate;
+      continue;
+    }
+    auto [c_in, c_out] = indexed ? index.Cut(sub, i) : sub.Partition(e);
+    partitioned_sets += n;
 
     // Differential counting for the recursion: both children's counts come
     // from one (lazy) dense scan of the smaller half plus derivation from
-    // this node's ascending list. Materialization happens inside the child
-    // only after its memo lookup misses, so memo hits still skip counting.
+    // this node's lists. A deeper child materializes only after its memo
+    // lookup misses, so memo hits still skip counting; a leaf reads the
+    // scan directly (SelectLeaf).
     bool dense_valid = false;
-    const DeltaHint child_hint{&level.asc,
+    const DeltaHint child_hint{&level.asc, &counts,
                                c_in.size() <= c_out.size() ? &c_in : &c_out,
                                &level.counter, &dense_valid};
     const DeltaHint* hint_ptr = delta_children ? &child_hint : nullptr;

@@ -10,12 +10,23 @@
 ///  * sorted candidate order + early break         (Algorithm 1, lines 11/14)
 ///  * upper limits passed to recursive calls        (Eqs. 11–14, lines 22/29)
 ///  * memoization of (sub-collection, k) results    (lines 1–6, 9, 37)
+///  * duplicate-partition skip: a candidate that splits the node into the
+///    same two halves as one already examined there has the same k-step
+///    bound, which already failed to beat the running best (memoization at
+///    the partition level, so it rides on enable_memoization)
 ///  * beam limits q (k-LPLE) / variable beam (k-LPLVE)
+///
+/// The last lookahead level (a k = 1 child reached through a DeltaHint) is
+/// one fused scan: the most-even entity of the child is found straight from
+/// the smaller half's dense counts and the parent's most-even list, with no
+/// child list, no sort, and no memo entry — leaves bypass the memo, since
+/// the scan costs less than copying and hashing the child's id vector.
 ///
 /// Cost bookkeeping is exact-integer (see cost.h), which Lemma 4.4's safety
 /// argument requires.
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -86,6 +97,36 @@ struct KlpSelection {
   EntityId entity = kNoEntity;  ///< kNoEntity if everything was pruned
   Cost bound = kInfiniteCost;   ///< the k-step lower bound of `entity`
 };
+
+/// The most-even informative entity of one last-level lookahead child
+/// (ties: lowest id), as the fused leaf scans below find it; entity is
+/// kNoEntity when the child has no informative, non-excluded entity.
+struct LeafPick {
+  EntityId entity = kNoEntity;
+  uint64_t count = 0;  ///< sets of the child containing `entity`
+  uint64_t imbalance = UINT64_MAX;
+};
+
+/// Leaf scan for the smaller half of a split: `touched` and `dense` are that
+/// half's own dense count (EntityCounter::CountDense over its n sets).
+LeafPick MostEvenSmallerHalf(std::span<const EntityId> touched,
+                             std::span<const uint32_t> dense, uint64_t n,
+                             const EntityExclusion* excluded);
+
+/// Leaf scan for the larger half (n sets) of a split whose smaller half has
+/// `small_n` sets and dense counts `small_dense`: walks the parent node's
+/// candidate list with child count = parent count - smaller-half count.
+/// When `most_even_order` says `parent` is sorted by parent imbalance (then
+/// entity), |2c - n_parent| - small_n lower-bounds the child imbalance of
+/// every later entry, and the walk stops once that bound exceeds the best
+/// imbalance or reaches `stop_imbalance`. Stopping on the latter means only
+/// that no entity below `stop_imbalance` exists; pass UINT64_MAX for an
+/// exact pick.
+LeafPick MostEvenLargerHalf(std::span<const EntityCount> parent,
+                            bool most_even_order,
+                            std::span<const uint32_t> small_dense,
+                            uint64_t small_n, uint64_t n,
+                            uint64_t stop_imbalance);
 
 /// The k-LP selector family (Algorithm 1 wrapped in the Υ interface).
 class KlpSelector : public EntitySelector {
@@ -218,6 +259,10 @@ class KlpSelector : public EntitySelector {
     /// The parent node's candidate list in ascending entity order (the
     /// pre-sort copy) — informative for the parent, exclusion-filtered.
     const std::vector<EntityCount>* parent_asc;
+    /// The same list in the parent's scan order (most-even first when
+    /// sort_candidates is on), which a larger-half leaf walks so it can stop
+    /// early.
+    const std::vector<EntityCount>* parent_order;
     /// The smaller partition half by set count (ties: the containing half).
     const SubCollection* small;
     /// The parent level's counter; lazily holds CountDense(*small), which
@@ -231,6 +276,13 @@ class KlpSelector : public EntitySelector {
   KlpSelection SelectImpl(const SubCollection& sub, int k, Cost upper_limit,
                           bool top, const EntityExclusion* excluded,
                           NodeStats* node_stats, const DeltaHint* hint);
+
+  /// The k = 1 base case of a hinted child in one scan: the child's
+  /// most-even informative entity (ties: lowest id) and its 1-step bound,
+  /// or kNoEntity when that bound does not go below `upper_limit`.
+  KlpSelection SelectLeaf(const SubCollection& sub, Cost upper_limit,
+                          const DeltaHint& hint,
+                          const EntityExclusion* excluded);
 
   /// Fills `counts` with what CountInformative(sub, excluded) would emit,
   /// using the hint: count the smaller half once (lazily), then either
@@ -254,6 +306,41 @@ class KlpSelector : public EntitySelector {
   DeltaCounter delta_counter_;
   KlpStats stats_;
   std::unordered_map<MemoKey, MemoEntry, MemoKeyHash> cache_;
+  /// Transposed view of one node for the duplicate-partition skip: for each
+  /// candidate (by its index in the node's scan order), the positions in C
+  /// of the sets containing it, plus an order-free hash of that position
+  /// set. Two candidates split C identically iff their position sets are
+  /// equal or complementary; the hash is XOR-based so a complement's hash is
+  /// the all-positions hash XOR the candidate's, and the smaller of the two
+  /// is the split's key.
+  struct PartitionIndex {
+    std::vector<uint32_t> offsets;    ///< candidate i: [offsets[i], offsets[i+1])
+    std::vector<uint32_t> positions;  ///< ascending positions per candidate
+    std::vector<uint64_t> keys;       ///< split key per candidate
+    /// Open-addressing table of examined splits: key and candidate index
+    /// (0 = empty; stored keys are forced nonzero).
+    std::vector<uint64_t> table_keys;
+    std::vector<uint32_t> table_slots;
+    uint32_t n = 0;  ///< |C| of the indexed node
+
+    /// Builds the index for `sub` over `counts`, borrowing `counter`'s
+    /// all-zero dense array as the entity -> candidate map.
+    void Build(const SubCollection& sub,
+               const std::vector<EntityCount>& counts,
+               EntityCounter* counter);
+    /// True when candidate i splits C like an earlier examined candidate;
+    /// otherwise records i as examined.
+    bool SeenSplit(size_t i);
+    /// Records candidate i as examined without checking it.
+    void Insert(size_t i);
+    /// Partition of `sub` on candidate i, read off the index.
+    std::pair<SubCollection, SubCollection> Cut(const SubCollection& sub,
+                                                size_t i) const;
+
+   private:
+    bool SameSplit(size_t i, size_t j) const;
+  };
+
   /// Reusable per-recursion-level scratch. Each level owns a counter so a
   /// node's dense smaller-half counts stay live while its children (which
   /// dense-count on their own level) derive from them.
@@ -261,6 +348,7 @@ class KlpSelector : public EntitySelector {
     std::vector<EntityCount> counts;  ///< candidate list (sorted in place)
     std::vector<EntityCount> asc;     ///< ascending copy for child hints
     EntityCounter counter;            ///< smaller-half dense counts
+    PartitionIndex index;             ///< this level's node, built lazily
   };
   std::vector<std::unique_ptr<LevelScratch>> scratch_;
   int depth_ = 0;

@@ -204,6 +204,25 @@ void EmitStepSpans(JourneyContext& ctx, uint8_t kind, uint32_t step_index,
     offset += ns;
   }
 
+  // A k-LP step's top lookahead node: |C| and what became of its
+  // candidates, on a child spanning the Select (the step span's annotation
+  // slots are full, and widening every span would tax every push).
+  if (accum.lookahead.candidates > 0) {
+    Span lookahead;
+    lookahead.trace_hi = ctx.trace.hi;
+    lookahead.trace_lo = ctx.trace.lo;
+    lookahead.span_id = NextSpanId();
+    lookahead.parent_id = step.span_id;
+    lookahead.start_ns = start_ns;
+    lookahead.duration_ns = accum.ns[static_cast<size_t>(Phase::kSelect)];
+    lookahead.SetName("lookahead");
+    lookahead.AnnotateU64("sets", accum.lookahead.sets);
+    lookahead.AnnotateU64("candidates", accum.lookahead.candidates);
+    lookahead.AnnotateU64("evaluated", accum.lookahead.evaluated);
+    lookahead.AnnotateU64("duplicates", accum.lookahead.duplicates);
+    ring.Push(lookahead);
+  }
+
   ctx.have_step = true;
   ctx.step_kind = kind;
   ctx.step_index = step_index;

@@ -57,10 +57,22 @@ enum class ServePath : uint8_t {
 
 const char* ServePathName(ServePath path);
 
+/// Shape of a k-LP step's top lookahead node: |C|, its informative
+/// candidates, how many had their k-step bound completed, and how many
+/// were skipped as duplicate splits. All zero when the step ran no k-LP
+/// Select.
+struct LookaheadNote {
+  uint64_t sets = 0;
+  uint64_t candidates = 0;
+  uint64_t evaluated = 0;
+  uint64_t duplicates = 0;
+};
+
 /// Per-step scratch the timers accumulate into.
 struct PhaseAccum {
   uint64_t ns[kNumPhases] = {};
   uint8_t serve_path = 0;  // ServePath
+  LookaheadNote lookahead;
 };
 
 namespace internal {
@@ -113,6 +125,14 @@ inline void NoteServePath(ServePath path) {
   if (accum != nullptr && accum->serve_path == 0) {
     accum->serve_path = static_cast<uint8_t>(path);
   }
+}
+
+/// Records the top lookahead node of the active step's Select. A step that
+/// selects more than once (a don't-know re-select) keeps the last, which is
+/// the one that chose its question.
+inline void NoteLookahead(const LookaheadNote& note) {
+  PhaseAccum* accum = internal::t_phase_accum;
+  if (accum != nullptr) accum->lookahead = note;
 }
 
 /// Records each nonzero phase of `accum` into the process-wide

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -223,6 +224,45 @@ TEST(JourneyEmissionTest, StepSpanWithPhaseChildrenLandsUnderRequestSpan) {
   EXPECT_STREQ(children[1]->name, PhaseName(Phase::kOrder));
   EXPECT_EQ(children[1]->start_ns, step->start_ns + 2'000'000u);
   EXPECT_EQ(children[1]->duration_ns, 500'000u);
+}
+
+std::string Annotation(const Span& span, const char* key) {
+  for (uint8_t i = 0; i < span.num_annotations; ++i) {
+    if (std::string(span.ann_key[i]) == key) return span.ann_value[i];
+  }
+  return "";
+}
+
+TEST(JourneyEmissionTest, KlpStepCarriesItsTopLookaheadNode) {
+  JourneyContext ctx;
+  ctx.trace = MakeTraceId();
+  PhaseAccum accum;
+  accum.ns[static_cast<size_t>(Phase::kSelect)] = 1'000'000;
+  accum.lookahead = {/*sets=*/140, /*candidates=*/8000, /*evaluated=*/3,
+                     /*duplicates=*/7100};
+  EmitStepSpans(ctx, /*kind=*/0, /*step_index=*/5, /*entity=*/9,
+                /*total_ns=*/1'200'000, accum);
+  const Span* lookahead = nullptr;
+  std::vector<Span> spans = SpansOfTrace(ctx.trace);
+  for (const Span& s : spans) {
+    if (std::string(s.name) == "lookahead") lookahead = &s;
+  }
+  ASSERT_NE(lookahead, nullptr);
+  EXPECT_EQ(lookahead->parent_id, ctx.step_span);
+  EXPECT_EQ(lookahead->duration_ns, 1'000'000u);  // the Select it ran in
+  EXPECT_EQ(Annotation(*lookahead, "sets"), "140");
+  EXPECT_EQ(Annotation(*lookahead, "candidates"), "8000");
+  EXPECT_EQ(Annotation(*lookahead, "evaluated"), "3");
+  EXPECT_EQ(Annotation(*lookahead, "duplicates"), "7100");
+
+  // A step that ran no k-LP Select gets no lookahead span.
+  JourneyContext plain;
+  plain.trace = MakeTraceId();
+  EmitStepSpans(plain, /*kind=*/0, /*step_index=*/0, /*entity=*/9,
+                /*total_ns=*/1000, PhaseAccum{});
+  for (const Span& s : SpansOfTrace(plain.trace)) {
+    EXPECT_STRNE(s.name, "lookahead");
+  }
 }
 
 TEST(JourneyEmissionTest, EmitGeneratesATraceIdWhenTheStackHadNone) {
