@@ -14,7 +14,10 @@
 // built with differential counting off (the recount-from-scratch baseline)
 // and on. Transcript parity between the two modes is asserted inline: a
 // bench that silently measured two different conversations would be
-// meaningless (and the CI smoke relies on the abort).
+// meaningless (and the CI smoke relies on the abort). The unsharded
+// MostEven, 2-LP and Weighted-2-LP rows also carry fresh_first_us: the
+// median first question of a newly built selector, which the reused
+// selectors of the per-step columns never pay.
 //
 // --json prints the machine-readable document to stdout (tables go to
 // stderr); the committed BENCH_counting.json is this bench's output at
@@ -50,6 +53,8 @@ struct ModeSpec {
   /// Memo clear between conversations (null = stateless between them).
   std::function<void(EntitySelector&)> reset;
   std::function<void(ShardedEntitySelector&)> reset_sharded;
+  /// Also time a fresh selector's first question (the fresh_first_us column).
+  bool fresh_first = false;
 };
 
 std::vector<ModeSpec> CountingStrategies(const std::vector<double>* weights) {
@@ -68,7 +73,7 @@ std::vector<ModeSpec> CountingStrategies(const std::vector<double>* weights) {
       {"MostEven",
        [](bool d) { return std::make_unique<MostEvenSelector>(d); },
        [](bool d) { return std::make_unique<ShardedMostEvenSelector>(d); },
-       nullptr, nullptr},
+       nullptr, nullptr, /*fresh_first=*/true},
       {"InfoGain",
        [](bool d) { return std::make_unique<InfoGainSelector>(d); },
        [](bool d) { return std::make_unique<ShardedInfoGainSelector>(d); },
@@ -83,7 +88,8 @@ std::vector<ModeSpec> CountingStrategies(const std::vector<double>* weights) {
        [](EntitySelector& s) { static_cast<KlpSelector&>(s).ClearCache(); },
        [](ShardedEntitySelector& s) {
          static_cast<ShardedKlpSelector&>(s).inner().ClearCache();
-       }},
+       },
+       /*fresh_first=*/true},
       // §7 weighted configurations: same conversations, prior-aware
       // decisions. Unsharded only (no sharded weighted engine).
       {"WeightedMostEven",
@@ -100,7 +106,7 @@ std::vector<ModeSpec> CountingStrategies(const std::vector<double>* weights) {
        [](EntitySelector& s) {
          static_cast<WeightedKlpSelector&>(s).ClearCache();
        },
-       nullptr},
+       nullptr, /*fresh_first=*/true},
   };
 }
 
@@ -202,6 +208,27 @@ PairedTiming RunPaired(const SetCollection& c,
   return t;
 }
 
+/// Median time to a fresh session's first question. Per conversation it
+/// builds a new (differential) selector and a session on it, whose
+/// constructor runs the first Select(), as SessionManager::Create serves a
+/// new session. The per-step columns reuse one warm selector per mode, so
+/// they never see what a new selector's first count costs (its scratch
+/// allocation and page faults).
+double FreshFirstQuestionUs(const SetCollection& c, const InvertedIndex& idx,
+                            const std::vector<SeedPairEntry>& subs,
+                            const DiscoveryOptions& options,
+                            const ModeSpec& spec) {
+  std::vector<double> us;
+  for (const SeedPairEntry& entry : subs) {
+    const std::vector<EntityId> initial = {entry.a, entry.b};
+    WallTimer timer;
+    std::unique_ptr<EntitySelector> selector = spec.make(/*differential=*/true);
+    DiscoverySession session(c, idx, initial, *selector, options);
+    us.push_back(timer.Seconds() * 1e6);
+  }
+  return Percentile(std::move(us), 50);
+}
+
 void RequireParity(const std::vector<Transcript>& full,
                    const std::vector<Transcript>& delta,
                    const std::string& where) {
@@ -277,7 +304,8 @@ int main(int argc, char** argv) {
         << "full and delta interleaved per conversation, speedup = median "
            "paired per-conversation ratio:\n";
     TablePrinter table({"selector", "engine", "full us/step", "delta us/step",
-                        "full p99 us", "delta p99 us", "speedup", "steps"});
+                        "full p99 us", "delta p99 us", "speedup", "steps",
+                        "fresh 1st us"});
     for (const ModeSpec& spec : CountingStrategies(&weights)) {
       for (bool use_sharded : {false, true}) {
         if (use_sharded && !spec.make_sharded) continue;
@@ -326,23 +354,31 @@ int main(int argc, char** argv) {
               Format("%s/%s dk=%.1f: %.3fx", spec.name.c_str(), engine,
                      dont_know_rate, t.speedup));
         }
+        const bool fresh = spec.fresh_first && !use_sharded;
+        const double fresh_first_us =
+            fresh ? FreshFirstQuestionUs(w.corpus, idx, w.subcollections,
+                                         options, spec)
+                  : 0.0;
         table.AddRow({spec.name, engine, Format("%.1f", t.full_us_per_step),
                       Format("%.1f", t.delta_us_per_step),
                       Format("%.0f", t.full_p99_us),
                       Format("%.0f", t.delta_p99_us),
-                      Format("%.2fx", t.speedup), Format("%zu", t.steps)});
-        report.Add(JsonReport::Row()
-                       .Str("section", "per_step")
-                       .Str("selector", spec.name)
-                       .Str("engine", engine)
-                       .Num("dont_know_rate", dont_know_rate)
-                       .Num("full_us_per_step", t.full_us_per_step)
-                       .Num("delta_us_per_step", t.delta_us_per_step)
-                       .Num("full_p99_us", t.full_p99_us)
-                       .Num("delta_p99_us", t.delta_p99_us)
-                       .Num("speedup", t.speedup)
-                       .Int("steps", static_cast<int64_t>(t.steps))
-                       .Bool("parity", true));
+                      Format("%.2fx", t.speedup), Format("%zu", t.steps),
+                      fresh ? Format("%.0f", fresh_first_us) : "-"});
+        JsonReport::Row row;
+        row.Str("section", "per_step")
+            .Str("selector", spec.name)
+            .Str("engine", engine)
+            .Num("dont_know_rate", dont_know_rate)
+            .Num("full_us_per_step", t.full_us_per_step)
+            .Num("delta_us_per_step", t.delta_us_per_step)
+            .Num("full_p99_us", t.full_p99_us)
+            .Num("delta_p99_us", t.delta_p99_us)
+            .Num("speedup", t.speedup)
+            .Int("steps", static_cast<int64_t>(t.steps))
+            .Bool("parity", true);
+        if (fresh) row.Num("fresh_first_us", fresh_first_us);
+        report.Add(row);
       }
     }
     table.Print(out);

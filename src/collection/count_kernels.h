@@ -37,10 +37,13 @@ namespace kernels {
 /// counts[e] += 1 for every (set, entity) incidence of `sub`, appending each
 /// entity to `touched` on its first increment (first-occurrence order, same
 /// as the branchy loop it replaces). Returns the number of touched entries
-/// written. `counts` must be zero-initialized over the collection's universe
-/// and `touched` must have room for universe + 1 entries: the store is
-/// unconditional, so the slot past the last first-touch keeps being used as
-/// a write sink after every entity has been seen.
+/// written. `counts` must read zero over the collection's universe; it need
+/// not have been written (EntityCounter takes it from calloc, so untouched
+/// pages are never faulted in). `touched` needs only *room* for universe + 1
+/// entries, not initialisation: every entry is stored before it is read, and
+/// the store is unconditional, so the slot past the last first-touch keeps
+/// being used as a write sink after every entity has been seen. Leaving it
+/// uninitialised means a count faults in just the prefix it writes.
 size_t AccumulateCounts(const SubCollection& sub, uint32_t* counts,
                         EntityId* touched);
 

@@ -7,13 +7,15 @@
 namespace setdisc {
 
 void EntityCounter::EnsureCapacity(EntityId universe) {
-  if (counts_.size() < universe) counts_.resize(universe, 0);
+  // Callers come here with no live residue: the counts are all zero and
+  // the touched list is dead, so growing reallocates without copying.
+  if (counts_.size() < universe) counts_.AllocateZeroed(universe);
   // The kernel writes touched_[t] unconditionally, so the list needs room
   // for every possibly-distinct entity up front PLUS one spare slot: once
   // every entity has been touched, subsequent iterations keep overwriting
   // the slot just past the live prefix.
   if (touched_.size() < static_cast<size_t>(universe) + 1) {
-    touched_.resize(static_cast<size_t>(universe) + 1);
+    touched_.AllocateUninitialized(static_cast<size_t>(universe) + 1);
   }
 }
 
@@ -56,7 +58,7 @@ void EntityCounter::CountInformative(const SubCollection& sub,
     }
     return;
   }
-  std::sort(touched_.begin(), touched_.begin() + num_touched_);
+  std::sort(touched_.data(), touched_.data() + num_touched_);
   for (size_t i = 0; i < num_touched_; ++i) {
     const EntityId e = touched_[i];
     uint32_t c = counts_[e];
@@ -91,7 +93,7 @@ void EntityCounter::CountAll(const SubCollection& sub,
     }
     return;
   }
-  std::sort(touched_.begin(), touched_.begin() + num_touched_);
+  std::sort(touched_.data(), touched_.data() + num_touched_);
   for (size_t i = 0; i < num_touched_; ++i) {
     const EntityId e = touched_[i];
     uint32_t c = counts_[e];

@@ -14,6 +14,15 @@
 /// (collection/count_kernels.h): first-touch tracking is a conditional
 /// post-increment of the touched write index, not an if-push_back, so the
 /// hot loop carries only the counts[e]++ data dependence.
+///
+/// Both arrays are universe-sized but allocated, not filled
+/// (util/scratch_array.h): the counts come from calloc and the touched list
+/// is left uninitialised, because it is written before it is read. A fresh
+/// counter therefore faults in only the pages its counts write instead of
+/// both arrays over the whole universe (on a million-entity corpus, filling
+/// them would be most of a new session's first question). Between counts
+/// the scratch is all-zero because every pass clears what it wrote, entry
+/// by entry.
 
 #include <span>
 #include <vector>
@@ -21,6 +30,7 @@
 #include "collection/entity_exclusion.h"
 #include "collection/sub_collection.h"
 #include "collection/types.h"
+#include "util/scratch_array.h"
 
 namespace setdisc {
 
@@ -67,7 +77,7 @@ class EntityCounter {
 
   /// The dense count array after CountDense (indexed by EntityId; valid up
   /// to the counted sub-collection's universe).
-  std::span<const uint32_t> dense() const { return counts_; }
+  std::span<const uint32_t> dense() const { return counts_.span(); }
 
   /// The entities CountDense touched, in first-occurrence order: exactly
   /// the nonzero entries of dense(), so a caller can visit them without
@@ -83,7 +93,7 @@ class EntityCounter {
   std::span<uint32_t> BorrowZeroed(EntityId universe) {
     if (dense_live_) ClearDense();
     EnsureCapacity(universe);
-    return counts_;
+    return counts_.span();
   }
 
   /// Sweep-vs-sort crossover: the dense sweep wins once at least
@@ -106,13 +116,14 @@ class EntityCounter {
     return touched >= universe / kDenseSweepDivisor;
   }
 
-  /// Drops the dense scratch (O(universe) ints) and the touched list. The
-  /// next count re-grows them; results are unaffected. Called by
-  /// ReleaseMemory() chains when a session goes idle so parked sessions do
-  /// not pin per-universe scratch each.
+  /// Returns the dense scratch (O(universe) ints) and the touched list to
+  /// the allocator. The next count allocates them again, lazily zeroed as
+  /// in the file comment, so it pays only for the pages it writes; results
+  /// are unaffected. Called by ReleaseMemory() chains when a session goes
+  /// idle so parked sessions do not pin per-universe scratch each.
   void Release() {
-    counts_ = {};
-    touched_ = {};
+    counts_.Reset();
+    touched_.Reset();
     num_touched_ = 0;
     dense_live_ = false;
   }
@@ -128,10 +139,12 @@ class EntityCounter {
     dense_live_ = false;
   }
 
-  std::vector<uint32_t> counts_;
-  /// Kept at universe capacity so the branchless kernel can store
-  /// unconditionally; num_touched_ is the live prefix.
-  std::vector<EntityId> touched_;
+  /// All-zero between counts (calloc'd; see the file comment).
+  ScratchArray<uint32_t> counts_;
+  /// Universe + 1 entries so the branchless kernel can store
+  /// unconditionally; num_touched_ is the live prefix, and nothing past it
+  /// is ever read, so the storage is left uninitialised.
+  ScratchArray<EntityId> touched_;
   size_t num_touched_ = 0;
   bool dense_live_ = false;
 };

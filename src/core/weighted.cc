@@ -37,11 +37,13 @@ EntityId WeightedMostEvenSelector::Select(const SubCollection& sub,
   obs::PhaseTimer order_timer(obs::Phase::kOrder);
   const SetCollection& collection = sub.collection();
   if (weight_stamp_.size() < collection.universe_size()) {
-    weight_stamp_.resize(collection.universe_size(), 0);
-    weight_acc_.resize(collection.universe_size(), 0.0);
+    // Only the stamps need zeros; an accumulator entry is read only where
+    // its stamp says this pass wrote it.
+    weight_stamp_.AllocateZeroed(collection.universe_size());
+    weight_acc_.AllocateUninitialized(collection.universe_size());
   }
   if (++weight_epoch_ == 0) {  // stamp wrap-around: invalidate everything
-    std::fill(weight_stamp_.begin(), weight_stamp_.end(), 0u);
+    std::fill_n(weight_stamp_.data(), weight_stamp_.size(), 0u);
     weight_epoch_ = 1;
   }
   const uint32_t epoch = weight_epoch_;

@@ -12,6 +12,7 @@
 #include "collection/delta_counter.h"
 #include "core/decision_tree.h"
 #include "core/selector.h"
+#include "util/scratch_array.h"
 
 namespace setdisc {
 
@@ -59,8 +60,8 @@ class WeightedMostEvenSelector : public EntitySelector {
   void ReleaseMemory() override {
     counter_.Release();
     counts_ = {};
-    weight_acc_ = {};
-    weight_stamp_ = {};
+    weight_acc_.Reset();
+    weight_stamp_.Reset();
   }
 
   /// Full/delta/re-emit breakdown of the counting passes so far.
@@ -71,9 +72,11 @@ class WeightedMostEvenSelector : public EntitySelector {
   DeltaCounter counter_;
   std::vector<EntityCount> counts_;
   /// Dense per-entity weight accumulator, epoch-stamped so it never needs a
-  /// clear pass: a stale stamp reads as "no mass yet".
-  std::vector<double> weight_acc_;
-  std::vector<uint32_t> weight_stamp_;
+  /// clear pass: a stale stamp reads as "no mass yet". The stamps start
+  /// zeroed and the accumulator uninitialised (util/scratch_array.h), so a
+  /// fresh selector faults in only the pages a pass writes.
+  ScratchArray<double> weight_acc_;
+  ScratchArray<uint32_t> weight_stamp_;
   uint32_t weight_epoch_ = 0;
 };
 

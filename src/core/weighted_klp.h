@@ -34,6 +34,7 @@
 #include "collection/sub_collection.h"
 #include "core/cost.h"
 #include "core/selector.h"
+#include "util/scratch_array.h"
 
 namespace setdisc {
 
@@ -178,10 +179,13 @@ class WeightedKlpSelector : public EntitySelector {
   int depth_ = 0;
   std::vector<std::unique_ptr<std::vector<EntityCount>>> scratch_;
   /// Dense per-entity accumulators for WeighCandidates (quantized mass and
-  /// qw·log2(qw) mass), epoch-stamped so they never need clearing.
-  std::vector<Cost> weight_acc_;
-  std::vector<double> qlog_acc_;
-  std::vector<uint32_t> weight_stamp_;
+  /// qw·log2(qw) mass), epoch-stamped so they never need clearing. The
+  /// stamps start zeroed and the accumulators uninitialised
+  /// (util/scratch_array.h), so a fresh selector faults in only the pages a
+  /// pass writes.
+  ScratchArray<Cost> weight_acc_;
+  ScratchArray<double> qlog_acc_;
+  ScratchArray<uint32_t> weight_stamp_;
   uint32_t weight_epoch_ = 0;
 };
 

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "collection/delta_counter.h"
@@ -361,6 +363,72 @@ TEST(CountDenseTest, DenseThenListCountsStayCorrect) {
   std::vector<EntityCount> got;
   counter.CountInformative(out, &got);
   EXPECT_EQ(got, BruteInformative(out, nullptr));
+}
+
+// ---------------------------------------------------------------------------
+// Scratch storage: the counts are calloc'd and the touched list is left
+// uninitialised (util/scratch_array.h), yet a reused counter must still
+// start every pass from all-zero counts, whatever it counted before.
+
+void ExpectAllZero(std::span<const uint32_t> scratch, const std::string& where) {
+  const auto it = std::find_if(scratch.begin(), scratch.end(),
+                               [](uint32_t v) { return v != 0; });
+  EXPECT_EQ(it, scratch.end())
+      << where << ": entry " << (it - scratch.begin()) << " is nonzero";
+}
+
+/// Counts the whole of `c` and a three-set view of it (the sweep and the
+/// sort emit paths) on the shared `counter`, checks each list against a
+/// fresh counter's, and checks that the lent scratch is all zero after.
+void ExpectMatchesFresh(EntityCounter& counter, const SetCollection& c,
+                        const std::string& where) {
+  for (SubCollection sub :
+       {SubCollection::Full(&c), SubCollection(&c, {0, 1, 2})}) {
+    const std::string at =
+        where + " (" + std::to_string(sub.size()) + " sets)";
+    EntityCounter fresh;
+    std::vector<EntityCount> got, want;
+    counter.CountInformative(sub, &got);
+    fresh.CountInformative(sub, &want);
+    EXPECT_EQ(got, want) << at;
+    counter.CountAll(sub, &got);
+    fresh.CountAll(sub, &want);
+    EXPECT_EQ(got, want) << at;
+    ExpectAllZero(counter.BorrowZeroed(c.universe_size()), at);
+  }
+}
+
+TEST(ScratchStorageTest, AllZeroAcrossGrowthReleaseAndDenseResidue) {
+  // The small universe's scratch comes from the heap (calloc clears reused
+  // memory); the large one's is past malloc's default mmap threshold
+  // (fresh pages).
+  SetCollection small = RandomCollection(21, 40, 64, 0.3);
+  SetCollection large = RandomCollection(22, 60, 50000, 0.002);
+  ASSERT_GT(large.universe_size(), 32768u);
+  EntityCounter counter;
+  ExpectMatchesFresh(counter, small, "small");
+  ExpectMatchesFresh(counter, large, "large, grown");
+  ExpectMatchesFresh(counter, small, "small after large");
+  counter.Release();
+  ExpectMatchesFresh(counter, small, "small after Release");
+  ExpectMatchesFresh(counter, large, "large after Release");
+
+  // CountDense leaves its residue in place; BorrowZeroed must clear it.
+  SubCollection sub = SubCollection::Full(&large);
+  counter.CountDense(sub);
+  std::vector<uint32_t> want(large.universe_size(), 0);
+  for (SetId s : sub.ids()) {
+    for (EntityId e : large.set(s)) ++want[e];
+  }
+  const std::span<const uint32_t> dense = counter.dense();
+  ASSERT_GE(dense.size(), want.size());
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), dense.begin()));
+  size_t nonzero = 0;
+  for (uint32_t v : want) nonzero += v != 0;
+  EXPECT_EQ(counter.touched().size(), nonzero);
+  ExpectAllZero(counter.BorrowZeroed(large.universe_size()),
+                "BorrowZeroed after CountDense");
+  ExpectMatchesFresh(counter, large, "large after BorrowZeroed");
 }
 
 // ---------------------------------------------------------------------------

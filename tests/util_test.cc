@@ -1,5 +1,5 @@
 // Unit tests for src/util: rng, zipf, stats (incomplete beta, Student-t,
-// paired t-test), table printing, and env scaling.
+// paired t-test), table printing, env scaling, and scratch arrays.
 
 #include <gtest/gtest.h>
 
@@ -7,9 +7,11 @@
 #include <cstdlib>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "util/env.h"
 #include "util/rng.h"
+#include "util/scratch_array.h"
 #include "util/stats.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
@@ -247,6 +249,31 @@ TEST(Timer, MeasuresElapsed) {
   for (int i = 0; i < 100000; ++i) sink += i;
   EXPECT_GE(t.Seconds(), 0.0);
   EXPECT_GE(t.Micros(), t.Millis());
+}
+
+TEST(ScratchArray, ZeroedReadsZeroAndReallocationDropsContents) {
+  ScratchArray<uint32_t> a;
+  EXPECT_EQ(a.size(), 0u);
+  // Heap-sized and mmap-sized blocks, each after the previous one was
+  // dirtied and freed, so a reused block must come back cleared too.
+  for (size_t n : {size_t{64}, size_t{1} << 20, size_t{64}, size_t{1} << 20}) {
+    a.AllocateZeroed(n);
+    ASSERT_EQ(a.size(), n);
+    for (size_t i = 0; i < n; ++i) ASSERT_EQ(a[i], 0u) << n << " @" << i;
+    for (size_t i = 0; i < n; ++i) a[i] = 0xdeadbeef;
+  }
+  a.AllocateUninitialized(10);
+  EXPECT_EQ(a.size(), 10u);
+  for (size_t i = 0; i < 10; ++i) a[i] = static_cast<uint32_t>(i);
+  EXPECT_EQ(a.span().back(), 9u);
+
+  ScratchArray<uint32_t> b = std::move(a);
+  EXPECT_EQ(b.size(), 10u);
+  EXPECT_EQ(a.size(), 0u);  // a moved-from array is empty
+  EXPECT_EQ(a.data(), nullptr);
+  b.Reset();
+  EXPECT_EQ(b.size(), 0u);
+  EXPECT_EQ(b.data(), nullptr);
 }
 
 }  // namespace
