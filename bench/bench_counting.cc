@@ -1,6 +1,5 @@
 // Differential counting (collection/delta_counter.h): full-recount vs
-// delta-derived per-step latency and session throughput, unsharded and
-// sharded (K=4).
+// delta-derived per-step latency and session throughput.
 //
 // Every discovery step narrows the candidate set by Partition(e), and
 // counts(C2) = counts(C) - counts(C1) exactly — so a step's counting pass
@@ -14,10 +13,10 @@
 // built with differential counting off (the recount-from-scratch baseline)
 // and on. Transcript parity between the two modes is asserted inline: a
 // bench that silently measured two different conversations would be
-// meaningless (and the CI smoke relies on the abort). The unsharded
-// MostEven, 2-LP and Weighted-2-LP rows also carry fresh_first_us: the
-// median first question of a newly built selector, which the reused
-// selectors of the per-step columns never pay.
+// meaningless (and the CI smoke relies on the abort). The MostEven, 2-LP
+// and Weighted-2-LP rows also carry fresh_first_us: the median first
+// question of a newly built selector, which the reused selectors of the
+// per-step columns never pay.
 //
 // --json prints the machine-readable document to stdout (tables go to
 // stderr); the committed BENCH_counting.json is this bench's output at
@@ -32,7 +31,6 @@
 
 #include "bench_common.h"
 #include "core/selectors.h"
-#include "core/sharded_selectors.h"
 #include "core/weighted.h"
 #include "core/weighted_klp.h"
 #include "service/discovery_session.h"
@@ -47,12 +45,8 @@ using Transcript = std::vector<std::pair<EntityId, Oracle::Answer>>;
 struct ModeSpec {
   std::string name;
   std::function<std::unique_ptr<EntitySelector>(bool differential)> make;
-  /// Null = unsharded only (the weighted selectors have no sharded variant).
-  std::function<std::unique_ptr<ShardedEntitySelector>(bool differential)>
-      make_sharded;
   /// Memo clear between conversations (null = stateless between them).
   std::function<void(EntitySelector&)> reset;
-  std::function<void(ShardedEntitySelector&)> reset_sharded;
   /// Also time a fresh selector's first question (the fresh_first_us column).
   bool fresh_first = false;
 };
@@ -71,49 +65,38 @@ std::vector<ModeSpec> CountingStrategies(const std::vector<double>* weights) {
   };
   return {
       {"MostEven",
-       [](bool d) { return std::make_unique<MostEvenSelector>(d); },
-       [](bool d) { return std::make_unique<ShardedMostEvenSelector>(d); },
-       nullptr, nullptr, /*fresh_first=*/true},
+       [](bool d) { return std::make_unique<MostEvenSelector>(d); }, nullptr,
+       /*fresh_first=*/true},
       {"InfoGain",
-       [](bool d) { return std::make_unique<InfoGainSelector>(d); },
-       [](bool d) { return std::make_unique<ShardedInfoGainSelector>(d); },
-       nullptr, nullptr},
+       [](bool d) { return std::make_unique<InfoGainSelector>(d); }, nullptr},
       {"2-LP",
        [klp_options](bool d) {
          return std::make_unique<KlpSelector>(klp_options(d));
        },
-       [klp_options](bool d) {
-         return std::make_unique<ShardedKlpSelector>(klp_options(d));
-       },
        [](EntitySelector& s) { static_cast<KlpSelector&>(s).ClearCache(); },
-       [](ShardedEntitySelector& s) {
-         static_cast<ShardedKlpSelector&>(s).inner().ClearCache();
-       },
        /*fresh_first=*/true},
       // §7 weighted configurations: same conversations, prior-aware
-      // decisions. Unsharded only (no sharded weighted engine).
+      // decisions.
       {"WeightedMostEven",
        [weights](bool d) {
          return std::make_unique<WeightedMostEvenSelector>(weights, d);
        },
-       nullptr, nullptr, nullptr},
+       nullptr},
       {"Weighted-2-LP",
        [weights, wklp_options](bool d) {
          return std::make_unique<WeightedKlpSelector>(weights,
                                                       wklp_options(d));
        },
-       nullptr,
        [](EntitySelector& s) {
          static_cast<WeightedKlpSelector&>(s).ClearCache();
        },
-       nullptr, /*fresh_first=*/true},
+       /*fresh_first=*/true},
   };
 }
 
 /// One selector mode's session maker plus its between-conversation reset.
-template <typename Session>
 struct Runner {
-  std::function<std::unique_ptr<Session>(std::span<const EntityId> initial)>
+  std::function<DiscoverySession(std::span<const EntityId> initial)>
       make_session;
   std::function<void()> reset;
 };
@@ -126,10 +109,8 @@ struct Runner {
 /// modes identically). Appends the conversation's transcript, its wall time
 /// and every step's time: session creation (the first question) and each
 /// answered step.
-template <typename Session>
 void RunConversation(const SetCollection& c, const SeedPairEntry& entry,
-                     size_t i, double dont_know_rate,
-                     const Runner<Session>& runner,
+                     size_t i, double dont_know_rate, const Runner& runner,
                      std::vector<Transcript>* transcripts,
                      std::vector<double>* step_us, double* seconds) {
   SetId target = entry.set_ids[(i * 7919 + 13) % entry.set_ids.size()];
@@ -137,17 +118,16 @@ void RunConversation(const SetCollection& c, const SeedPairEntry& entry,
   std::vector<EntityId> initial = {entry.a, entry.b};
   WallTimer total;
   WallTimer step;
-  auto session = runner.make_session(initial);
+  DiscoverySession session = runner.make_session(initial);
   step_us->push_back(step.Seconds() * 1e6);
-  while (!session->done()) {
-    const Oracle::Answer answer =
-        oracle.AskMembership(session->NextQuestion());
+  while (!session.done()) {
+    const Oracle::Answer answer = oracle.AskMembership(session.NextQuestion());
     step.Reset();
-    session->SubmitAnswer(answer);
+    session.SubmitAnswer(answer);
     step_us->push_back(step.Seconds() * 1e6);
   }
   *seconds = total.Seconds();
-  transcripts->push_back(session->TakeResult().transcript);
+  transcripts->push_back(session.TakeResult().transcript);
   runner.reset();
 }
 
@@ -164,11 +144,10 @@ struct PairedTiming {
   size_t steps = 0;
 };
 
-template <typename Session>
 PairedTiming RunPaired(const SetCollection& c,
                        const std::vector<SeedPairEntry>& subs,
-                       double dont_know_rate, const Runner<Session>& full,
-                       const Runner<Session>& delta,
+                       double dont_know_rate, const Runner& full,
+                       const Runner& delta,
                        std::vector<Transcript>* full_transcripts,
                        std::vector<Transcript>* delta_transcripts) {
   // Warm each mode's scratch (and fault in the corpus) outside the timing.
@@ -252,7 +231,6 @@ int main(int argc, char** argv) {
   const int num_conversations = ScalePick<int>(12, 24, 48);
   WebTablesWorkload w = MakeWebTablesWorkload(num_conversations);
   InvertedIndex idx(w.corpus);
-  ShardedCollection sharded(w.corpus, ShardingOptions{4, ShardScheme::kRange});
   const size_t threads = [] {
     const char* env = std::getenv("SETDISC_BENCH_THREADS");
     if (env != nullptr && std::atoi(env) > 0) {
@@ -261,7 +239,6 @@ int main(int argc, char** argv) {
     size_t hw = std::thread::hardware_concurrency();
     return hw == 0 ? 8 : hw;
   }();
-  ThreadPool pool(threads);
   size_t sub_sets = 0;
   for (const SeedPairEntry& entry : w.subcollections) {
     sub_sets += entry.set_ids.size();
@@ -270,8 +247,8 @@ int main(int argc, char** argv) {
       << w.corpus.num_distinct_entities() << " entities, "
       << w.corpus.total_elements() << " incidences; "
       << w.subcollections.size() << " seed-pair conversations, avg "
-      << sub_sets / w.subcollections.size() << " candidate sets; K=4 pool: "
-      << threads << " threads\n\n";
+      << sub_sets / w.subcollections.size() << " candidate sets; manager "
+      << "pool: " << threads << " threads\n\n";
 
   DiscoveryOptions options;
   options.max_questions = 500;  // §6 guard; never hit on this workload
@@ -303,83 +280,55 @@ int main(int argc, char** argv) {
         << ", k-LP memo cleared per conversation (uncached regime);\n"
         << "full and delta interleaved per conversation, speedup = median "
            "paired per-conversation ratio:\n";
-    TablePrinter table({"selector", "engine", "full us/step", "delta us/step",
+    TablePrinter table({"selector", "full us/step", "delta us/step",
                         "full p99 us", "delta p99 us", "speedup", "steps",
                         "fresh 1st us"});
     for (const ModeSpec& spec : CountingStrategies(&weights)) {
-      for (bool use_sharded : {false, true}) {
-        if (use_sharded && !spec.make_sharded) continue;
-        std::vector<Transcript> full_transcripts, delta_transcripts;
-        PairedTiming t;
-        if (!use_sharded) {
-          auto full_sel = spec.make(/*differential=*/false);
-          auto delta_sel = spec.make(/*differential=*/true);
-          auto runner = [&](EntitySelector* sel) {
-            return Runner<DiscoverySession>{
-                [&, sel](std::span<const EntityId> initial) {
-                  return std::make_unique<DiscoverySession>(
-                      w.corpus, idx, initial, *sel, options);
-                },
-                [&, sel] {
-                  if (spec.reset) spec.reset(*sel);
-                }};
-          };
-          t = RunPaired(w.corpus, w.subcollections, dont_know_rate,
-                        runner(full_sel.get()), runner(delta_sel.get()),
-                        &full_transcripts, &delta_transcripts);
-        } else {
-          auto full_sel = spec.make_sharded(/*differential=*/false);
-          auto delta_sel = spec.make_sharded(/*differential=*/true);
-          full_sel->set_pool(&pool);
-          delta_sel->set_pool(&pool);
-          auto runner = [&](ShardedEntitySelector* sel) {
-            return Runner<ShardedDiscoverySession>{
-                [&, sel](std::span<const EntityId> initial) {
-                  return std::make_unique<ShardedDiscoverySession>(
-                      sharded, initial, *sel, options, &pool);
-                },
-                [&, sel] {
-                  if (spec.reset_sharded) spec.reset_sharded(*sel);
-                }};
-          };
-          t = RunPaired(w.corpus, w.subcollections, dont_know_rate,
-                        runner(full_sel.get()), runner(delta_sel.get()),
-                        &full_transcripts, &delta_transcripts);
-        }
-        RequireParity(full_transcripts, delta_transcripts,
-                      spec.name + (use_sharded ? "/K=4" : "/unsharded"));
-        const char* engine = use_sharded ? "K=4" : "unsharded";
-        if (assert_speedups && t.speedup < 1.0) {
-          assert_failures.push_back(
-              Format("%s/%s dk=%.1f: %.3fx", spec.name.c_str(), engine,
-                     dont_know_rate, t.speedup));
-        }
-        const bool fresh = spec.fresh_first && !use_sharded;
-        const double fresh_first_us =
-            fresh ? FreshFirstQuestionUs(w.corpus, idx, w.subcollections,
-                                         options, spec)
-                  : 0.0;
-        table.AddRow({spec.name, engine, Format("%.1f", t.full_us_per_step),
-                      Format("%.1f", t.delta_us_per_step),
-                      Format("%.0f", t.full_p99_us),
-                      Format("%.0f", t.delta_p99_us),
-                      Format("%.2fx", t.speedup), Format("%zu", t.steps),
-                      fresh ? Format("%.0f", fresh_first_us) : "-"});
-        JsonReport::Row row;
-        row.Str("section", "per_step")
-            .Str("selector", spec.name)
-            .Str("engine", engine)
-            .Num("dont_know_rate", dont_know_rate)
-            .Num("full_us_per_step", t.full_us_per_step)
-            .Num("delta_us_per_step", t.delta_us_per_step)
-            .Num("full_p99_us", t.full_p99_us)
-            .Num("delta_p99_us", t.delta_p99_us)
-            .Num("speedup", t.speedup)
-            .Int("steps", static_cast<int64_t>(t.steps))
-            .Bool("parity", true);
-        if (fresh) row.Num("fresh_first_us", fresh_first_us);
-        report.Add(row);
+      std::vector<Transcript> full_transcripts, delta_transcripts;
+      auto full_sel = spec.make(/*differential=*/false);
+      auto delta_sel = spec.make(/*differential=*/true);
+      auto runner = [&](EntitySelector* sel) {
+        return Runner{[&, sel](std::span<const EntityId> initial) {
+                        return DiscoverySession(w.corpus, idx, initial, *sel,
+                                                options);
+                      },
+                      [&, sel] {
+                        if (spec.reset) spec.reset(*sel);
+                      }};
+      };
+      const PairedTiming t =
+          RunPaired(w.corpus, w.subcollections, dont_know_rate,
+                    runner(full_sel.get()), runner(delta_sel.get()),
+                    &full_transcripts, &delta_transcripts);
+      RequireParity(full_transcripts, delta_transcripts, spec.name);
+      if (assert_speedups && t.speedup < 1.0) {
+        assert_failures.push_back(Format("%s dk=%.1f: %.3fx", spec.name.c_str(),
+                                         dont_know_rate, t.speedup));
       }
+      const double fresh_first_us =
+          spec.fresh_first ? FreshFirstQuestionUs(w.corpus, idx,
+                                                  w.subcollections, options,
+                                                  spec)
+                           : 0.0;
+      table.AddRow({spec.name, Format("%.1f", t.full_us_per_step),
+                    Format("%.1f", t.delta_us_per_step),
+                    Format("%.0f", t.full_p99_us),
+                    Format("%.0f", t.delta_p99_us), Format("%.2fx", t.speedup),
+                    Format("%zu", t.steps),
+                    spec.fresh_first ? Format("%.0f", fresh_first_us) : "-"});
+      JsonReport::Row row;
+      row.Str("section", "per_step")
+          .Str("selector", spec.name)
+          .Num("dont_know_rate", dont_know_rate)
+          .Num("full_us_per_step", t.full_us_per_step)
+          .Num("delta_us_per_step", t.delta_us_per_step)
+          .Num("full_p99_us", t.full_p99_us)
+          .Num("delta_p99_us", t.delta_p99_us)
+          .Num("speedup", t.speedup)
+          .Int("steps", static_cast<int64_t>(t.steps))
+          .Bool("parity", true);
+      if (spec.fresh_first) row.Num("fresh_first_us", fresh_first_us);
+      report.Add(row);
     }
     table.Print(out);
     out << "\n";
@@ -393,56 +342,43 @@ int main(int argc, char** argv) {
         rounds * static_cast<int>(w.subcollections.size());
     out << "sessions/sec through the SessionManager (" << num_sessions
         << " 2-LP conversations, " << threads << " pool threads):\n";
-    TablePrinter table(
-        {"engine", "full sess/sec", "delta sess/sec", "speedup"});
-    for (size_t num_shards : {size_t{1}, size_t{4}}) {
-      double rates[2];
-      for (bool differential : {false, true}) {
-        SessionManagerOptions manager_options;
-        manager_options.discovery = options;
-        manager_options.num_threads = threads;
-        manager_options.num_shards = num_shards;
-        manager_options.selector_factory = [differential] {
-          KlpOptions o = KlpOptions::MakeKlp(2, CostMetric::kAvgDepth);
-          o.enable_delta_counting = differential;
-          return std::make_unique<KlpSelector>(o);
-        };
-        manager_options.sharded_selector_factory = [differential] {
-          KlpOptions o = KlpOptions::MakeKlp(2, CostMetric::kAvgDepth);
-          o.enable_delta_counting = differential;
-          return std::make_unique<ShardedKlpSelector>(o);
-        };
-        SessionManager manager(w.corpus, idx, manager_options);
-        WallTimer timer;
-        std::vector<std::future<bool>> jobs;
-        jobs.reserve(num_sessions);
-        for (int i = 0; i < num_sessions; ++i) {
-          const SeedPairEntry& entry =
-              w.subcollections[i % w.subcollections.size()];
-          SetId target = entry.set_ids[(i * 7919 + 13) % entry.set_ids.size()];
-          jobs.push_back(
-              manager.pool().Submit([&manager, &w, &entry, target] {
-                SimulatedOracle oracle(&w.corpus, target);
-                std::vector<EntityId> initial = {entry.a, entry.b};
-                SessionView view =
-                    manager.Drive(manager.Create(initial), oracle);
-                manager.Close(view.id);
-                return view.state == SessionState::kFinished;
-              }));
-        }
-        for (auto& job : jobs) job.get();
-        rates[differential ? 1 : 0] = num_sessions / timer.Seconds();
+    TablePrinter table({"full sess/sec", "delta sess/sec", "speedup"});
+    double rates[2];
+    for (bool differential : {false, true}) {
+      SessionManagerOptions manager_options;
+      manager_options.discovery = options;
+      manager_options.num_threads = threads;
+      manager_options.selector_factory = [differential] {
+        KlpOptions o = KlpOptions::MakeKlp(2, CostMetric::kAvgDepth);
+        o.enable_delta_counting = differential;
+        return std::make_unique<KlpSelector>(o);
+      };
+      SessionManager manager(w.corpus, idx, manager_options);
+      WallTimer timer;
+      std::vector<std::future<bool>> jobs;
+      jobs.reserve(num_sessions);
+      for (int i = 0; i < num_sessions; ++i) {
+        const SeedPairEntry& entry =
+            w.subcollections[i % w.subcollections.size()];
+        SetId target = entry.set_ids[(i * 7919 + 13) % entry.set_ids.size()];
+        jobs.push_back(manager.pool().Submit([&manager, &w, &entry, target] {
+          SimulatedOracle oracle(&w.corpus, target);
+          std::vector<EntityId> initial = {entry.a, entry.b};
+          SessionView view = manager.Drive(manager.Create(initial), oracle);
+          manager.Close(view.id);
+          return view.state == SessionState::kFinished;
+        }));
       }
-      const char* engine = num_shards == 1 ? "unsharded" : "K=4";
-      table.AddRow({engine, Format("%.1f", rates[0]), Format("%.1f", rates[1]),
-                    Format("%.2fx", rates[1] / rates[0])});
-      report.Add(JsonReport::Row()
-                     .Str("section", "sessions_per_sec")
-                     .Str("engine", engine)
-                     .Num("full_sessions_per_sec", rates[0])
-                     .Num("delta_sessions_per_sec", rates[1])
-                     .Num("speedup", rates[1] / rates[0]));
+      for (auto& job : jobs) job.get();
+      rates[differential ? 1 : 0] = num_sessions / timer.Seconds();
     }
+    table.AddRow({Format("%.1f", rates[0]), Format("%.1f", rates[1]),
+                  Format("%.2fx", rates[1] / rates[0])});
+    report.Add(JsonReport::Row()
+                   .Str("section", "sessions_per_sec")
+                   .Num("full_sessions_per_sec", rates[0])
+                   .Num("delta_sessions_per_sec", rates[1])
+                   .Num("speedup", rates[1] / rates[0]));
     table.Print(out);
     out << "(throughput gains shrink vs per-step: seeding, partitioning, "
            "and manager runway are unchanged, and sessions in one manager "

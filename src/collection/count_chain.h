@@ -1,11 +1,10 @@
 #pragma once
 
 /// \file count_chain.h
-/// The fingerprint-chain state machine shared by every retained-counting
-/// layer: DeltaCounter (unsharded), ShardedCounter (per-shard), and the
-/// weighted selectors' retained top-level state (core/weighted_klp.h).
+/// The fingerprint-chain state machine behind DeltaCounter (and, through it,
+/// the weighted selectors' retained top-level counts).
 ///
-/// All three keep "the counts of the last view I computed" and decide, per
+/// The owner keeps "the counts of the last view I computed" and decides, per
 /// call, whether the incoming view can be served from that state:
 ///
 ///   * re-emit — the view IS the retained view (same fingerprint, no armed
@@ -18,9 +17,8 @@
 /// serve gate: retained state is only served while every entity the mask
 /// excluded at retention time is still excluded (masks only grow within a
 /// session, so the gate normally passes; arbitrary callers fall back to a
-/// full count). What the retained payload IS — an informative list, per-
-/// shard full counts, (count, weight) pairs — stays with the owner; this
-/// class only answers "which path serves" and keeps the stats straight.
+/// full count). The retained payload itself stays with the owner; this class
+/// only answers "which path serves" and keeps the stats straight.
 
 #include <cstdint>
 #include <span>
@@ -105,17 +103,6 @@ class CountChain {
 
   void CommitReemit() { ++stats_.reemits; }
 
-  /// Installs externally produced retained state (the Adopt paths — e.g.
-  /// merged sharded counts handed to an inner counter). Like CommitFull but
-  /// the counting work happened in the caller's accounting, so no stats
-  /// bump here.
-  void Adopt(uint64_t fp, const EntityExclusion* excluded) {
-    SnapshotMask(excluded);
-    counted_fp_ = fp;
-    valid_ = true;
-    pending_ = false;
-  }
-
   /// Forgets the chain (not the owner's payload buffers). Counted as an
   /// invalidation when there was state to lose.
   void Invalidate() {
@@ -131,9 +118,7 @@ class CountChain {
   }
 
   bool valid() const { return valid_; }
-  bool pending() const { return pending_; }
   uint64_t counted_fp() const { return counted_fp_; }
-  uint64_t expected_fp() const { return expected_fp_; }
 
   /// Serve gate: every entity the retention-time mask excluded must still be
   /// excluded, or the retained payload may be missing candidates the current
@@ -169,7 +154,6 @@ class CountChain {
   }
 
   const DeltaCounterStats& stats() const { return stats_; }
-  DeltaCounterStats& stats() { return stats_; }
 
  private:
   std::vector<EntityId> retained_mask_;

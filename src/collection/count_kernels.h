@@ -6,7 +6,7 @@
 /// a build can compile just them for wider ISAs (SETDISC_KERNEL_MULTIARCH;
 /// see CMakeLists.txt). Every caller-visible effect is a plain array write —
 /// no allocation, no virtual dispatch, no clearing protocol — which is what
-/// lets delta_counter.cc, sharded_collection.cc, and klp.cc share them.
+/// lets entity_counter.cc, delta_counter.cc, and klp.cc share them.
 ///
 ///   * AccumulateCounts — the dense gather-increment pass (one add per
 ///     (set, entity) incidence) with branchless first-touch tracking;

@@ -350,16 +350,6 @@ void DeltaCounter::SeedChild(const SubCollection& parent,
   if (obs::Enabled()) ServeCounter(obs::ServePath::kDelta)->Add(1);
 }
 
-void DeltaCounter::Adopt(uint64_t fp, const std::vector<EntityCount>& counts,
-                         const EntityExclusion* excluded) {
-  if (!enabled_) return;
-  retained_.assign(counts.begin(), counts.end());
-  CountChain::CopyMaskIds(excluded, &last_emit_mask_);
-  chain_.Adopt(fp, excluded);
-  sibling_ = SubCollection();
-  order_state_ = OrderState::kStale;
-}
-
 void DeltaCounter::Invalidate() {
   chain_.Invalidate();
   sibling_ = SubCollection();

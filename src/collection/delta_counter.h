@@ -29,6 +29,7 @@
 ///                (k-LP's lookahead counts both halves of the candidate it
 ///                chooses) and handed it to SeedChild: the child's counts
 ///                were derived at partition time, so this count is a
+///                re-emit;
 ///   * re-emit  — the view IS the retained view: no counting at all, just
 ///                re-filter the retained list (also the §6 don't-know loop:
 ///                exclusion added, re-select on the same candidates).
@@ -145,22 +146,6 @@ class DeltaCounter {
                  const std::vector<EntityCount>& half_counts,
                  bool half_is_kept);
 
-  /// True when CountInformative on a view with this fingerprint, under
-  /// `excluded`, would be a count-free re-emit. Lets layered counters (the
-  /// sharded k-LP selector) skip their own counting pass when this state
-  /// already has the answer.
-  bool CanReuse(uint64_t fingerprint, const EntityExclusion* excluded) const {
-    return enabled_ &&
-           chain_.Classify(fingerprint, excluded) == CountServe::kReemit;
-  }
-
-  /// Installs externally computed counts as the retained state for the view
-  /// with fingerprint `fp`. `counts` must be what CountInformative(view,
-  /// excluded) emits — the sharded path adopts its merged per-shard counts
-  /// here so the lookahead's SeedChild has a parent to derive from.
-  void Adopt(uint64_t fp, const std::vector<EntityCount>& counts,
-             const EntityExclusion* excluded);
-
   /// Forgets the retained counts and any armed partition; the next count is
   /// full. Called on backtracks and verify failures, where the candidate
   /// view jumps to an ancestor state.
@@ -211,12 +196,12 @@ class DeltaCounter {
   /// retained_ sorted by (count, entity) when order_state_ == kValid.
   std::vector<EntityCount> order_;
   OrderState order_state_ = OrderState::kStale;
-  /// The mask the last CountInformative/Adopt emitted under: what a
+  /// The mask the last CountInformative emitted under: what a
   /// SeedChild list (derived from that emitted output) is filtered by.
   std::vector<EntityId> last_emit_mask_;
 
-  /// The fingerprint-chain state machine (shared shape with ShardedCounter
-  /// and the weighted selectors; collection/count_chain.h).
+  /// The fingerprint-chain state machine (shared shape with the weighted
+  /// selectors; collection/count_chain.h).
   CountChain chain_;
   /// Armed derivation payload: the dropped half of the partition whose kept
   /// half the chain expects next.

@@ -59,9 +59,7 @@ class EntityCounter {
                         const EntityExclusion* excluded = nullptr);
 
   /// Like CountInformative but returns *all* entities with non-zero count,
-  /// including uninformative ones (used by generators, diagnostics, and as
-  /// the per-shard pass of ShardedCounter — a shard cannot decide
-  /// informativeness, only the merged counts can).
+  /// including uninformative ones (used by generators and diagnostics).
   ///
   /// \param excluded  if non-null, entities marked true are skipped.
   void CountAll(const SubCollection& sub, std::vector<EntityCount>* out,
@@ -109,9 +107,8 @@ class EntityCounter {
   /// list (O(t log t)) or an in-order sweep of the dense count array
   /// (O(m') sequential reads). The sweep wins once a meaningful fraction of
   /// the universe was touched — which is the normal shape for root-level
-  /// counting over a large collection, and the case the sharded per-shard
-  /// passes multiply. Public so the boundary test can place its inputs
-  /// exactly at the crossover.
+  /// counting over a large collection. Public so the boundary test can place
+  /// its inputs exactly at the crossover.
   static bool DenseSweepIsCheaper(size_t touched, EntityId universe) {
     return touched >= universe / kDenseSweepDivisor;
   }

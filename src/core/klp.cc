@@ -246,22 +246,6 @@ EntityId KlpSelector::Select(const SubCollection& sub,
 KlpSelection KlpSelector::SelectWithBound(const SubCollection& sub,
                                           Cost upper_limit,
                                           const EntityExclusion* excluded) {
-  precounted_ = nullptr;
-  return SelectWithBoundImpl(sub, upper_limit, excluded);
-}
-
-KlpSelection KlpSelector::SelectWithBoundPrecounted(
-    const SubCollection& sub, Cost upper_limit, const EntityExclusion* excluded,
-    const std::vector<EntityCount>& counts) {
-  precounted_ = &counts;
-  KlpSelection result = SelectWithBoundImpl(sub, upper_limit, excluded);
-  precounted_ = nullptr;
-  return result;
-}
-
-KlpSelection KlpSelector::SelectWithBoundImpl(const SubCollection& sub,
-                                              Cost upper_limit,
-                                              const EntityExclusion* excluded) {
   if (sub.size() < 2) return {kNoEntity, 0};
   if (cache_.size() > options_.max_cache_entries) ClearCache();
   NodeStats node;
@@ -506,16 +490,7 @@ KlpSelection KlpSelector::SelectImpl(const SubCollection& sub, int k,
   }
   LevelScratch& level = *scratch_[depth_];
   std::vector<EntityCount>& counts = level.counts;
-  if (top && precounted_ != nullptr) {
-    // Sharded path: the root counts were already computed per shard and
-    // merged; copy into the mutable scratch (the sort below reorders it),
-    // and adopt them as retained state so the winning candidate's SeedChild
-    // has a parent list to derive the next step's counts from.
-    counts.assign(precounted_->begin(), precounted_->end());
-    if (options_.enable_delta_counting) {
-      delta_counter_.Adopt(sub.Fingerprint(), counts, excluded);
-    }
-  } else if (hint != nullptr) {
+  if (hint != nullptr) {
     // Lookahead child: derive from the parent node's counts (one scan of
     // the smaller half, shared with the sibling) instead of recounting.
     MaterializeFromHint(sub, *hint, excluded, &counts);

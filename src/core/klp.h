@@ -142,19 +142,6 @@ class KlpSelector : public EntitySelector {
   KlpSelection SelectWithBound(const SubCollection& sub, Cost upper_limit,
                                const EntityExclusion* excluded = nullptr);
 
-  /// SelectWithBound with the TOP-level counting pass supplied externally:
-  /// `counts` must equal what CountInformative(sub, excluded) would emit
-  /// (ascending entity order, informative only). The sharded engine computes
-  /// those counts with a per-shard map + merge — the dominant per-step cost,
-  /// per the paper's model — and hands them here so the lookahead recursion,
-  /// pruning, and memoization run through the exact same code as the
-  /// unsharded path (transcript parity by construction). Recursive levels
-  /// always count for themselves.
-  KlpSelection SelectWithBoundPrecounted(
-      const SubCollection& sub, Cost upper_limit,
-      const EntityExclusion* excluded,
-      const std::vector<EntityCount>& counts);
-
   std::string_view name() const override { return name_; }
   const KlpOptions& options() const { return options_; }
 
@@ -200,8 +187,8 @@ class KlpSelector : public EntitySelector {
   /// the answered entity is the one this selector just chose, its lookahead
   /// already counted both partition halves, so the next step's top counts
   /// are seeded outright (SeedChild) and that count becomes a free re-emit.
-  /// Memo hits and the precounted (sharded) path skip the chain, and the
-  /// fingerprint check falls back to a full count whenever it broke.
+  /// Memo hits skip the chain, and the fingerprint check falls back to a
+  /// full count whenever it broke.
   void NotePartition(const SubCollection& parent, EntityId e,
                      bool kept_contains, const SubCollection& kept,
                      SubCollection dropped) override;
@@ -211,26 +198,6 @@ class KlpSelector : public EntitySelector {
   /// Full/delta/re-emit breakdown of the top-level (cross-step) counting.
   const DeltaCounterStats& counting_stats() const {
     return delta_counter_.stats();
-  }
-
-  /// True when the next top-level count of `sub` under `excluded` would be
-  /// served from retained state without scanning the collection. The
-  /// sharded selector uses this to skip its per-shard counting pass
-  /// entirely and route the step through SelectWithBound on the combined
-  /// view.
-  bool HasTopCountsFor(const SubCollection& sub,
-                       const EntityExclusion* excluded) const {
-    return options_.enable_delta_counting &&
-           delta_counter_.CanReuse(sub.Fingerprint(), excluded);
-  }
-
-  /// True when NotePartition on entity `e` would seed the child's counts
-  /// from the last lookahead (e is the candidate whose halves it counted) —
-  /// in which case the dropped-half argument goes unused and layered
-  /// callers can skip materializing it.
-  bool WouldSeedOn(EntityId e) const {
-    return options_.enable_delta_counting && best_small_valid_ &&
-           e == best_small_entity_;
   }
 
  private:
@@ -271,8 +238,6 @@ class KlpSelector : public EntitySelector {
     bool* dense_valid;
   };
 
-  KlpSelection SelectWithBoundImpl(const SubCollection& sub, Cost upper_limit,
-                                   const EntityExclusion* excluded);
   KlpSelection SelectImpl(const SubCollection& sub, int k, Cost upper_limit,
                           bool top, const EntityExclusion* excluded,
                           NodeStats* node_stats, const DeltaHint* hint);
@@ -291,10 +256,6 @@ class KlpSelector : public EntitySelector {
   void MaterializeFromHint(const SubCollection& sub, const DeltaHint& hint,
                            const EntityExclusion* excluded,
                            std::vector<EntityCount>* counts);
-
-  /// Non-null only inside SelectWithBoundPrecounted: the externally merged
-  /// top-level counts, consumed by the top SelectImpl call.
-  const std::vector<EntityCount>* precounted_ = nullptr;
 
   KlpOptions options_;
   std::string name_;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "obs/trace.h"
 
@@ -15,8 +16,9 @@ inline uint64_t Imbalance(uint64_t c, uint64_t n) {
   return c > other ? c - other : other - c;
 }
 
-}  // namespace
-
+/// Most even partition: the entity minimizing | |C1| - |C2| | among
+/// `counts` (informative entities of an n-set candidate collection, in
+/// ascending entity order — ties go to the smallest id). kNoEntity if empty.
 EntityId PickMostEven(std::span<const EntityCount> counts, uint64_t n) {
   EntityId best = kNoEntity;
   uint64_t best_imbalance = 0;
@@ -30,6 +32,8 @@ EntityId PickMostEven(std::span<const EntityCount> counts, uint64_t n) {
   return best;  // counts is entity-ordered, so ties go to the smallest id
 }
 
+/// Information gain (Eq. 9): minimizes |C1|log|C1| + |C2|log|C2|; ties broken
+/// by the most even partition, then entity id. kNoEntity if empty.
 EntityId PickInfoGain(std::span<const EntityCount> counts, uint64_t n) {
   EntityId best = kNoEntity;
   double best_split_entropy = 0.0;  // |C1| log|C1| + |C2| log|C2|, minimized
@@ -50,6 +54,14 @@ EntityId PickInfoGain(std::span<const EntityCount> counts, uint64_t n) {
   return best;
 }
 
+/// PickInfoGain with a caller-owned memo table for the split score. The
+/// score depends only on (count, n), and counts repeat heavily on real
+/// collections, so the two log2 calls per candidate — the scoring pass's
+/// entire cost — collapse to one table fill per *distinct* count. The table
+/// is lazily filled per call (it is n-specific); entries hold the exact
+/// double the unmemoized loop computes, so decisions are byte-identical.
+/// Falls back to the plain loop when the O(n) table reset would cost more
+/// than it saves.
 EntityId PickInfoGain(std::span<const EntityCount> counts, uint64_t n,
                       std::vector<double>* split_table) {
   // The memo only pays when candidates outnumber the O(n) sentinel reset —
@@ -81,6 +93,9 @@ EntityId PickInfoGain(std::span<const EntityCount> counts, uint64_t n,
   return best;
 }
 
+/// Minimum indistinguishable pairs (Eq. 10): minimizes C(|C1|,2) + C(|C2|,2);
+/// ties broken by the most even partition, then entity id. kNoEntity if
+/// empty.
 EntityId PickIndistinguishablePairs(std::span<const EntityCount> counts,
                                     uint64_t n) {
   EntityId best = kNoEntity;
@@ -101,6 +116,8 @@ EntityId PickIndistinguishablePairs(std::span<const EntityCount> counts,
   }
   return best;
 }
+
+}  // namespace
 
 EntityId MostEvenSelector::Select(const SubCollection& sub,
                                   const EntityExclusion* excluded) {

@@ -15,12 +15,8 @@
 /// selector_test property sweep verifies that on random collections.
 ///
 /// Each strategy is a counting pass followed by a pure scoring pass over the
-/// (entity, count) list. The scoring passes are exposed as the free Pick*
-/// functions so the sharded engine — which computes the same counts with a
-/// per-shard map + merge (collection/sharded_collection.h) — makes the same
-/// decisions through the same code (core/sharded_selectors.h).
+/// (entity, count) list.
 
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -28,32 +24,6 @@
 #include "util/rng.h"
 
 namespace setdisc {
-
-/// Most even partition: the entity minimizing | |C1| - |C2| | among
-/// `counts` (informative entities of an n-set candidate collection, in
-/// ascending entity order — ties go to the smallest id). kNoEntity if empty.
-EntityId PickMostEven(std::span<const EntityCount> counts, uint64_t n);
-
-/// Information gain (Eq. 9): minimizes |C1|log|C1| + |C2|log|C2|; ties broken
-/// by the most even partition, then entity id. kNoEntity if empty.
-EntityId PickInfoGain(std::span<const EntityCount> counts, uint64_t n);
-
-/// PickInfoGain with a caller-owned memo table for the split score. The
-/// score depends only on (count, n), and counts repeat heavily on real
-/// collections, so the two log2 calls per candidate — the scoring pass's
-/// entire cost — collapse to one table fill per *distinct* count. The table
-/// is lazily filled per call (it is n-specific); entries hold the exact
-/// double the unmemoized loop computes, so decisions are byte-identical.
-/// Falls back to the plain loop when the O(n) table reset would cost more
-/// than it saves.
-EntityId PickInfoGain(std::span<const EntityCount> counts, uint64_t n,
-                      std::vector<double>* split_table);
-
-/// Minimum indistinguishable pairs (Eq. 10): minimizes C(|C1|,2) + C(|C2|,2);
-/// ties broken by the most even partition, then entity id. kNoEntity if
-/// empty.
-EntityId PickIndistinguishablePairs(std::span<const EntityCount> counts,
-                                    uint64_t n);
 
 /// Common base of the counting-pass selectors: owns the DeltaCounter and
 /// routes the differential-counting hooks to it, so each strategy is just

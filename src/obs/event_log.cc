@@ -180,8 +180,9 @@ std::string ExemplarJson(const StepExemplar& ex) {
       static_cast<unsigned long long>(ex.queue_wait_ns));
   std::string out(buf, n > 0 ? static_cast<size_t>(n) : 0);
   for (size_t i = 0; i < kNumPhases; ++i) {
-    std::snprintf(buf, sizeof(buf), "%s\"%s\":%llu", i == 0 ? "" : ",",
-                  PhaseName(static_cast<Phase>(i)),
+    const char* name = PhaseName(static_cast<Phase>(i));
+    if (name == nullptr) continue;
+    std::snprintf(buf, sizeof(buf), "%s\"%s\":%llu", i == 0 ? "" : ",", name,
                   static_cast<unsigned long long>(ex.phase_ns[i]));
     out += buf;
   }

@@ -177,7 +177,7 @@ void EmitStepSpans(JourneyContext& ctx, uint8_t kind, uint32_t step_index,
   if (entity != UINT32_MAX) step.AnnotateU64("entity", entity);
   step.Annotate("path", ServePathName(static_cast<ServePath>(
                     accum.serve_path <= 4 ? accum.serve_path : 0)));
-  // kSelect spans phases 0-3, so it would double-cover as a child; keep it
+  // kSelect spans phases 0-2, so it would double-cover as a child; keep it
   // as an annotation instead.
   if (accum.ns[static_cast<size_t>(Phase::kSelect)] > 0) {
     step.AnnotateU64("select_ns", accum.ns[static_cast<size_t>(Phase::kSelect)]);

@@ -5,8 +5,8 @@
 /// sensors in metrics.h/trace.h. A *journey* is the span tree of one request
 /// — request span, queue-wait child, step child, phase grandchildren — tied
 /// together by a 128-bit trace id that can cross the wire (see the
-/// CreateSession trace-context extension in net/protocol.h), so the same id
-/// later stitches spans from remote shard processes into one tree.
+/// CreateSession trace-context extension in net/protocol.h), so a client's
+/// spans and the server's share one tree.
 ///
 /// Spans land in a process-wide lock-free bounded ring (JourneyRing): Push
 /// is a ticket fetch_add plus ~25 relaxed atomic word stores guarded by a
@@ -153,7 +153,7 @@ void SetJourneyEnabled(bool enabled);
 /// and `request_span`; the layers underneath fill the rest:
 ///  * SessionManager copies the session's stored trace id into `trace` when
 ///    the request didn't carry one, and stamps `session_id`;
-///  * BasicDiscoverySession::RecordStep emits the step + phase spans and
+///  * DiscoverySession::RecordStep emits the step + phase spans and
 ///    copies the step's totals back for exemplar decisions.
 struct JourneyContext {
   TraceId trace;

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file metrics.h
-/// Observability primitives: sharded relaxed-atomic counters, gauges, and a
+/// Observability primitives: striped relaxed-atomic counters, gauges, and a
 /// fixed-bucket log-linear latency histogram (HDR-style), all cheap enough
 /// to sit on the per-step hot path.
 ///

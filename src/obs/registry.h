@@ -4,7 +4,7 @@
 /// MetricsRegistry: the process-wide catalogue of named metric families.
 ///
 /// A family is a metric name plus a label set — `step_latency{selector=
-/// "Klp", shards="4"}` — and GetCounter/GetGauge/GetHistogram return a
+/// "Klp"}` — and GetCounter/GetGauge/GetHistogram return a
 /// stable pointer to the one instance for that (name, labels) pair,
 /// creating it on first use. Callers look a handle up once (registry
 /// lookups take a mutex) and then record through the lock-free primitive.

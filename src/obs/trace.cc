@@ -9,11 +9,10 @@ const char* PhaseName(Phase phase) {
     case Phase::kCacheLookup: return "cache_lookup";
     case Phase::kCount: return "count";
     case Phase::kOrder: return "order";
-    case Phase::kShardMerge: return "shard_merge";
     case Phase::kEmit: return "emit";
     case Phase::kSelect: return "select";
   }
-  return "unknown";
+  return nullptr;
 }
 
 const char* ServePathName(ServePath path) {
@@ -37,8 +36,7 @@ void RecordStepPhases(const PhaseAccum& accum) {
           "setdisc_step_phase_ns", {{"phase", PhaseName(Phase::kCount)}}),
       MetricsRegistry::Default().GetHistogram(
           "setdisc_step_phase_ns", {{"phase", PhaseName(Phase::kOrder)}}),
-      MetricsRegistry::Default().GetHistogram(
-          "setdisc_step_phase_ns", {{"phase", PhaseName(Phase::kShardMerge)}}),
+      nullptr,  // reserved slot
       MetricsRegistry::Default().GetHistogram(
           "setdisc_step_phase_ns", {{"phase", PhaseName(Phase::kEmit)}}),
       MetricsRegistry::Default().GetHistogram(

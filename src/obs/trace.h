@@ -5,19 +5,13 @@
 ///
 /// The question "why was this step slow?" needs latencies attributed to the
 /// stages of a step — counting, candidate ordering, the partition/emit on
-/// answer, the selection-cache lookup, the sharded merge — but those stages
+/// answer, the selection-cache lookup — but those stages
 /// live deep inside selectors, counters, and cache decorators whose APIs
 /// should not grow a context parameter. Instead the session installs a
 /// thread-local PhaseAccum around each step (PhaseScope), and instrumented
 /// code records into it through PhaseTimer / NoteServePath. When no scope
 /// is installed (metrics disabled, or code driven outside a session step),
 /// a PhaseTimer is a thread-local load and a branch — no clock read.
-///
-/// Phase times are attributed on the *stepping thread*: work a sharded step
-/// fans out to pool workers overlaps the step's wall time and is counted
-/// only for the slices the calling thread executes itself (ParallelFor
-/// callers claim items too). The phases are therefore a breakdown of the
-/// step's critical path, not a CPU-time accounting.
 ///
 /// A TraceRing is the bounded per-session journal of completed steps —
 /// off by default, enabled per session (CreateSession trace flag). It is
@@ -37,12 +31,13 @@ enum class Phase : uint8_t {
   kCacheLookup = 0,  ///< selection-cache probe (and insert on miss)
   kCount = 1,        ///< counting pass (full, delta-derived, or re-emit)
   kOrder = 2,        ///< candidate ordering / scoring pass
-  kShardMerge = 3,   ///< k-way merge of per-shard count lists
+  // 3 is reserved: kTraceReply and stats-v2 exemplars ship phases by position.
   kEmit = 4,         ///< partition-on-answer + counting-state handoff
-  kSelect = 5,       ///< the whole selector Select() call (spans 0-3)
+  kSelect = 5,       ///< the whole selector Select() call (spans 0-2)
 };
 inline constexpr size_t kNumPhases = 6;
 
+/// The phase's metric/span name; nullptr for the reserved slot.
 const char* PhaseName(Phase phase);
 
 /// How the step's top-level counting pass was served (mirrors

@@ -22,47 +22,19 @@ obs::Counter* StepsCounter(uint8_t kind) {
   return kind == 0 ? answers : verifies;
 }
 
-obs::Labels SessionLabels(std::string_view selector, size_t shards) {
-  return obs::Labels{{"selector", std::string(selector)},
-                     {"shards", std::to_string(shards)}};
+obs::Labels SessionLabels(std::string_view selector) {
+  return obs::Labels{{"selector", std::string(selector)}};
 }
 
 }  // namespace
 
-SubCollection UnshardedEngine::Filter(
-    SubCollection view, const std::unordered_set<SetId>& rejected) const {
-  if (rejected.empty()) return view;
-  std::vector<SetId> ids(view.ids().begin(), view.ids().end());
-  ids.erase(std::remove_if(ids.begin(), ids.end(),
-                           [&](SetId s) { return rejected.count(s) > 0; }),
-            ids.end());
-  return SubCollection(collection, std::move(ids));
-}
-
-ShardedSubCollection ShardedEngine::Filter(
-    ShardedSubCollection view, const std::unordered_set<SetId>& rejected) const {
-  if (rejected.empty()) return view;
-  std::vector<SubCollection> shards;
-  shards.reserve(view.num_shards());
-  for (size_t k = 0; k < view.num_shards(); ++k) {
-    std::vector<SetId> ids(view.shard(k).ids().begin(),
-                           view.shard(k).ids().end());
-    ids.erase(std::remove_if(ids.begin(), ids.end(),
-                             [&](SetId local) {
-                               return rejected.count(
-                                          collection->GlobalId(k, local)) > 0;
-                             }),
-              ids.end());
-    shards.emplace_back(&collection->shard(k), std::move(ids));
-  }
-  return ShardedSubCollection(collection, std::move(shards));
-}
-
-template <typename Engine>
-BasicDiscoverySession<Engine>::BasicDiscoverySession(
-    Engine engine, std::span<const EntityId> initial, Selector& selector,
-    const DiscoveryOptions& options, std::vector<EntityId> recorded_questions)
-    : engine_(std::move(engine)),
+DiscoverySession::DiscoverySession(const SetCollection& collection,
+                                   const InvertedIndex& index,
+                                   std::span<const EntityId> initial,
+                                   EntitySelector& selector,
+                                   const DiscoveryOptions& options,
+                                   std::vector<EntityId> recorded_questions)
+    : collection_(&collection),
       selector_(&selector),
       options_(options),
       replay_(std::move(recorded_questions)) {
@@ -72,13 +44,13 @@ BasicDiscoverySession<Engine>::BasicDiscoverySession(
     // One registry lookup per session; every Record() after this is
     // lock-free. Creation already pays index scans, so the lookup noise is
     // negligible there.
-    obs::Labels labels = SessionLabels(selector.name(), engine_.NumShards());
+    obs::Labels labels = SessionLabels(selector.name());
     step_hist_ = obs::MetricsRegistry::Default().GetHistogram(
         "setdisc_step_latency_ns", labels);
     t0 = obs::NowNanos();
   }
   // Lines 1-4: candidates are the supersets of the initial example set I.
-  candidates_ = engine_.Initial(initial);
+  candidates_ = SubCollection(collection_, index.SetsContainingAll(initial));
   if (candidates_.empty()) {
     Finish();
   } else {
@@ -87,13 +59,12 @@ BasicDiscoverySession<Engine>::BasicDiscoverySession(
   if (metrics) {
     obs::MetricsRegistry::Default()
         .GetHistogram("setdisc_create_latency_ns",
-                      SessionLabels(selector.name(), engine_.NumShards()))
+                      SessionLabels(selector.name()))
         ->Record(obs::NowNanos() - t0);
   }
 }
 
-template <typename Engine>
-void BasicDiscoverySession<Engine>::Advance() {
+void DiscoverySession::Advance() {
   // Lines 5-12 of Algorithm 2, one narrowing step at a time: while several
   // candidates remain, each Advance() either parks in kAwaitingAnswer with
   // the next question or finishes; SubmitAnswer() partitions and calls
@@ -102,7 +73,7 @@ void BasicDiscoverySession<Engine>::Advance() {
     if (options_.max_questions >= 0 &&
         result_.questions >= options_.max_questions) {
       result_.halted = true;  // the halt condition Γ fired
-      engine_.AppendGlobal(candidates_, &result_.candidates);
+      ReportCandidates(candidates_);
       Finish();
       return;
     }
@@ -112,7 +83,7 @@ void BasicDiscoverySession<Engine>::Advance() {
       // it before any partition uses it — a corrupt journal must fail the
       // rehydration, not index past the collection.
       e = replay_[replay_next_++];
-      if (e >= engine_.UniverseSize() || excluded_.Test(e)) {
+      if (e >= collection_->universe_size() || excluded_.Test(e)) {
         replay_rejected_ = true;
         Finish();
         return;
@@ -123,7 +94,7 @@ void BasicDiscoverySession<Engine>::Advance() {
     }
     if (e == kNoEntity) {
       // Every informative entity excluded: cannot narrow further (§6).
-      engine_.AppendGlobal(candidates_, &result_.candidates);
+      ReportCandidates(candidates_);
       Finish();
       return;
     }
@@ -132,13 +103,13 @@ void BasicDiscoverySession<Engine>::Advance() {
     return;
   }
 
-  engine_.AppendGlobal(candidates_, &result_.candidates);
+  ReportCandidates(candidates_);
   if (!options_.verify_and_backtrack) {
     Finish();
     return;
   }
   if (candidates_.size() == 1) {
-    pending_set_ = engine_.Front(candidates_);
+    pending_set_ = candidates_.front();
     state_ = SessionState::kAwaitingVerify;
     return;
   }
@@ -147,8 +118,7 @@ void BasicDiscoverySession<Engine>::Advance() {
   Backtrack();
 }
 
-template <typename Engine>
-void BasicDiscoverySession<Engine>::SubmitAnswer(Oracle::Answer answer) {
+void DiscoverySession::SubmitAnswer(Oracle::Answer answer) {
   // Step entry is the one degradation point: the level is re-read here (not
   // mid-step) so one step runs at one effort level end to end.
   ApplyEffort();
@@ -168,8 +138,7 @@ void BasicDiscoverySession<Engine>::SubmitAnswer(Oracle::Answer answer) {
   RecordStep(/*kind=*/0, entity, before, obs::NowNanos() - t0, accum);
 }
 
-template <typename Engine>
-void BasicDiscoverySession<Engine>::DoSubmitAnswer(Oracle::Answer answer) {
+void DiscoverySession::DoSubmitAnswer(Oracle::Answer answer) {
   SETDISC_CHECK_MSG(state_ == SessionState::kAwaitingAnswer,
                     "SubmitAnswer outside kAwaitingAnswer");
   EntityId e = pending_entity_;
@@ -199,8 +168,7 @@ void BasicDiscoverySession<Engine>::DoSubmitAnswer(Oracle::Answer answer) {
     // selection cache is on, the selector just computed this view's
     // fingerprint, and the next Select() will want the survivor's; the
     // differential counting state keys its parent/child chain on them too.
-    auto [in, out] = engine_.Partition(candidates_, e,
-                                       /*derive_fingerprints=*/true);
+    auto [in, out] = candidates_.Partition(e, /*derive_fingerprints=*/true);
     // Report the partition to the selector's counting state, handing over the
     // dropped half: the next Select() can then derive its counts from this
     // step's instead of recounting (collection/delta_counter.h).
@@ -217,8 +185,7 @@ void BasicDiscoverySession<Engine>::DoSubmitAnswer(Oracle::Answer answer) {
   Advance();
 }
 
-template <typename Engine>
-void BasicDiscoverySession<Engine>::Verify(bool confirmed) {
+void DiscoverySession::Verify(bool confirmed) {
   ApplyEffort();
   const bool metrics = obs::Enabled() && step_hist_ != nullptr;
   if (!metrics && trace_ == nullptr && obs::CurrentJourney() == nullptr) {
@@ -235,8 +202,7 @@ void BasicDiscoverySession<Engine>::Verify(bool confirmed) {
   RecordStep(/*kind=*/1, kNoEntity, before, obs::NowNanos() - t0, accum);
 }
 
-template <typename Engine>
-void BasicDiscoverySession<Engine>::DoVerify(bool confirmed) {
+void DiscoverySession::DoVerify(bool confirmed) {
   SETDISC_CHECK_MSG(state_ == SessionState::kAwaitingVerify,
                     "Verify outside kAwaitingVerify");
   SetId s = pending_set_;
@@ -252,8 +218,7 @@ void BasicDiscoverySession<Engine>::DoVerify(bool confirmed) {
   Backtrack();
 }
 
-template <typename Engine>
-void BasicDiscoverySession<Engine>::Backtrack() {
+void DiscoverySession::Backtrack() {
   // The candidate view is about to jump to an ancestor state: whatever
   // counts the selector retained describe a view the session is leaving.
   selector_->InvalidateCountState();
@@ -266,13 +231,13 @@ void BasicDiscoverySession<Engine>::Backtrack() {
       continue;
     }
     f.flipped = true;
-    auto [in, out] = engine_.Partition(f.before, f.entity,
-                                       /*derive_fingerprints=*/false);
-    View alt = engine_.Filter(f.answered_yes ? std::move(out) : std::move(in),
-                              rejected_);
+    auto [in, out] = f.before.Partition(f.entity,
+                                        /*derive_fingerprints=*/false);
+    SubCollection alt =
+        WithoutRejected(f.answered_yes ? std::move(out) : std::move(in));
     if (alt.empty()) continue;  // nothing viable there; keep unwinding
     if (result_.backtracks >= options_.max_backtracks) {
-      engine_.AppendGlobal(alt, &result_.candidates);
+      ReportCandidates(alt);
       Finish();
       return;
     }
@@ -285,21 +250,27 @@ void BasicDiscoverySession<Engine>::Backtrack() {
   Finish();
 }
 
-template <typename Engine>
-bool BasicDiscoverySession<Engine>::EndReplay() {
+SubCollection DiscoverySession::WithoutRejected(SubCollection view) const {
+  if (rejected_.empty()) return view;
+  std::vector<SetId> ids(view.ids().begin(), view.ids().end());
+  ids.erase(std::remove_if(ids.begin(), ids.end(),
+                           [&](SetId s) { return rejected_.count(s) > 0; }),
+            ids.end());
+  return SubCollection(collection_, std::move(ids));
+}
+
+bool DiscoverySession::EndReplay() {
   const bool ok = !replay_rejected_ && replay_next_ == replay_.size();
   replay_ = {};
   replay_next_ = 0;
   return ok;
 }
 
-template <typename Engine>
-void BasicDiscoverySession<Engine>::EnableTracing(size_t capacity) {
+void DiscoverySession::EnableTracing(size_t capacity) {
   if (trace_ == nullptr) trace_ = std::make_unique<obs::TraceRing>(capacity);
 }
 
-template <typename Engine>
-void BasicDiscoverySession<Engine>::RecordStep(uint8_t kind, EntityId entity,
+void DiscoverySession::RecordStep(uint8_t kind, EntityId entity,
                                                size_t candidates_before,
                                                uint64_t total_ns,
                                                const obs::PhaseAccum& accum) {
@@ -333,13 +304,9 @@ void BasicDiscoverySession<Engine>::RecordStep(uint8_t kind, EntityId entity,
   ++step_index_;
 }
 
-template <typename Engine>
-DiscoveryResult BasicDiscoverySession<Engine>::TakeResult() {
+DiscoveryResult DiscoverySession::TakeResult() {
   SETDISC_CHECK_MSG(done(), "TakeResult on an unfinished session");
   return std::move(result_);
 }
-
-template class BasicDiscoverySession<UnshardedEngine>;
-template class BasicDiscoverySession<ShardedEngine>;
 
 }  // namespace setdisc

@@ -27,26 +27,9 @@
 /// flips — and `Discover()` is now a thin wrapper that drives a session
 /// against an Oracle, so the two cannot diverge.
 ///
-/// One state machine, two engines. The Algorithm-2+§6 logic is implemented
-/// once, as BasicDiscoverySession<Engine>; the Engine parameter supplies the
-/// candidate representation and its primitive moves:
-///
-///   * UnshardedEngine — SubCollection candidates over one SetCollection +
-///     InvertedIndex (the original DiscoverySession);
-///   * ShardedEngine   — ShardedSubCollection candidates over a
-///     ShardedCollection, with seeding, counting, and partition-on-answer
-///     running per shard (collection/sharded_collection.h).
-///
-/// Because both instantiations share every line of control flow and all
-/// decisions are taken on merged counts, sharded and unsharded sessions
-/// produce byte-identical transcripts (tests/sharded_parity_test.cc).
-/// Callers that don't care which engine runs — SessionManager, the network
-/// server — step sessions through the type-erased DiscoveryEngine interface.
-///
 /// A session is single-conversation state: it is NOT thread-safe (neither is
 /// the selector it holds). Concurrency lives one layer up, in
-/// SessionManager; a sharded session may still fan one step's counting
-/// across a pool internally.
+/// SessionManager.
 
 #include <atomic>
 #include <memory>
@@ -57,14 +40,11 @@
 
 #include "collection/inverted_index.h"
 #include "collection/set_collection.h"
-#include "collection/sharded_collection.h"
 #include "collection/sub_collection.h"
 #include "core/discovery.h"
 #include "core/selector.h"
-#include "core/sharded_selectors.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 
 namespace setdisc {
 
@@ -80,146 +60,16 @@ enum class SessionState {
   kFinished,
 };
 
-/// Type-erased stepping interface: everything a caller needs to drive one
-/// conversation, independent of which engine (unsharded or sharded) runs the
-/// candidate state underneath. All ids exposed here — questions, verify
-/// sets, result candidates — are global.
-class DiscoveryEngine {
+
+/// One interactive discovery conversation over a SetCollection + its
+/// InvertedIndex, advanced step by step — the engine `Discover()`,
+/// SessionManager, and the network server drive.
+class DiscoverySession {
  public:
-  virtual ~DiscoveryEngine() = default;
-
-  virtual SessionState state() const = 0;
-  bool done() const { return state() == SessionState::kFinished; }
-
-  /// The entity of the pending question. Only valid in kAwaitingAnswer
-  /// (returns kNoEntity otherwise).
-  virtual EntityId NextQuestion() const = 0;
-
-  /// The single remaining candidate awaiting confirmation. Only valid in
-  /// kAwaitingVerify (returns kNoSet otherwise).
-  virtual SetId PendingVerify() const = 0;
-
-  /// Answers the pending question (state must be kAwaitingAnswer) and
-  /// advances: partitions the candidates — or, for kDontKnow under
-  /// options.handle_dont_know, excludes the entity and re-selects on the
-  /// same candidates (§6) — then picks the next question or finishes.
-  virtual void SubmitAnswer(Oracle::Answer answer) = 0;
-
-  /// Resolves the pending verification (state must be kAwaitingVerify).
-  /// `confirmed` = true ends the session confirmed; false triggers §6
-  /// backtracking: the most recent unflipped answer is flipped and the
-  /// session resumes on the alternative branch (or finishes when the answer
-  /// tree or the flip budget is exhausted).
-  virtual void Verify(bool confirmed) = 0;
-
-  /// Live view of the result so far (questions, transcript, candidates...).
-  /// Fully populated once done().
-  virtual const DiscoveryResult& result() const = 0;
-
-  /// Moves the result out; the session must be done().
-  virtual DiscoveryResult TakeResult() = 0;
-
-  /// Number of candidate sets still standing.
-  virtual size_t num_candidates() const = 0;
-
-  virtual const DiscoveryOptions& options() const = 0;
-
-  /// Turns on the per-step TraceEvent journal: the next `capacity` completed
-  /// steps (overwrite-oldest past that) are recorded with phase latencies
-  /// and serve paths. Steps taken before the call are not traced. Off by
-  /// default; default implementation ignores the request.
-  virtual void EnableTracing(size_t capacity) { (void)capacity; }
-
-  /// The trace ring, or nullptr when tracing is off. Reading it while
-  /// another thread steps the session is a race — callers serialize via
-  /// whatever serializes steps (SessionManager's entry mutex).
-  virtual const obs::TraceRing* trace() const { return nullptr; }
-
-  /// Load-adaptive degradation: points the session at a live effort level
-  /// (service/load_controller.h writes it, SessionManager owns the cell).
-  /// Each step re-reads the cell on entry and forwards changes to the
-  /// selector's SetEffort, so degradation and recovery take effect on the
-  /// very next step of every session without per-session bookkeeping.
-  /// nullptr (the default) pins full effort. The cell must outlive the
-  /// session. Default implementation ignores the request.
-  virtual void SetEffortSource(const std::atomic<int>* source) {
-    (void)source;
-  }
-
-  /// Ends the replay of recorded questions a rehydrated session was built
-  /// with (BasicDiscoverySession's replay constructor): later selections
-  /// call the selector. Returns false when a recorded question was rejected
-  /// or some were never reached — the journal does not describe this
-  /// conversation. A session built without recorded questions returns true.
-  virtual bool EndReplay() { return true; }
-};
-
-/// Engine over one flat SetCollection: the candidate view is a
-/// SubCollection of global ids. A plain struct of borrowed pointers; the
-/// collection and index must outlive the session.
-struct UnshardedEngine {
-  using View = SubCollection;
-  using Selector = EntitySelector;
-
-  const SetCollection* collection = nullptr;
-  const InvertedIndex* index = nullptr;
-
-  View Initial(std::span<const EntityId> initial) const {
-    return View(collection, index->SetsContainingAll(initial));
-  }
-  std::pair<View, View> Partition(const View& view, EntityId e,
-                                  bool derive_fingerprints) const {
-    return view.Partition(e, derive_fingerprints);
-  }
-  void AppendGlobal(const View& view, std::vector<SetId>* out) const {
-    out->assign(view.ids().begin(), view.ids().end());
-  }
-  SetId Front(const View& view) const { return view.front(); }
-  View Filter(View view, const std::unordered_set<SetId>& rejected) const;
-  size_t NumShards() const { return 1; }
-  EntityId UniverseSize() const { return collection->universe_size(); }
-};
-
-/// Engine over a ShardedCollection: the candidate view keeps one
-/// SubCollection per shard, and seeding / partition-on-answer run per shard
-/// (optionally fanned across `pool`). The sharded collection must outlive
-/// the session.
-struct ShardedEngine {
-  using View = ShardedSubCollection;
-  using Selector = ShardedEntitySelector;
-
-  const ShardedCollection* collection = nullptr;
-  ThreadPool* pool = nullptr;
-
-  View Initial(std::span<const EntityId> initial) const {
-    return collection->SetsContainingAll(initial);
-  }
-  std::pair<View, View> Partition(const View& view, EntityId e,
-                                  bool derive_fingerprints) const {
-    return view.Partition(e, derive_fingerprints, pool);
-  }
-  void AppendGlobal(const View& view, std::vector<SetId>* out) const {
-    out->clear();
-    view.AppendGlobalIds(out);
-  }
-  SetId Front(const View& view) const { return view.FrontGlobal(); }
-  View Filter(View view, const std::unordered_set<SetId>& rejected) const;
-  size_t NumShards() const { return collection->num_shards(); }
-  EntityId UniverseSize() const { return collection->base().universe_size(); }
-};
-
-/// The Algorithm 2 + §6 state machine, written once over an Engine.
-template <typename Engine>
-class BasicDiscoverySession : public DiscoveryEngine {
- public:
-  using View = typename Engine::View;
-  using Selector = typename Engine::Selector;
-
   /// Starts a session: filters candidates to the supersets of `initial`
-  /// (Algorithm 2 lines 1-4, per shard under ShardedEngine) and selects the
-  /// first question. The engine's referents and the selector must outlive
-  /// the session; the selector must not be shared with a concurrently
-  /// stepping session.
+  /// (Algorithm 2 lines 1-4) and selects the first question. The collection,
+  /// index, and selector must outlive the session; the selector must not be
+  /// shared with a concurrently stepping session.
   ///
   /// Rehydration passes `recorded_questions` (session_store.h's
   /// RecordedQuestions): the questions the original conversation was asked,
@@ -229,49 +79,90 @@ class BasicDiscoverySession : public DiscoveryEngine {
   /// excluded; a rejected question finishes the session and fails
   /// EndReplay(). The selector still sees every partition (NotePartition),
   /// and is called only when the list runs out.
-  BasicDiscoverySession(Engine engine, std::span<const EntityId> initial,
-                        Selector& selector, const DiscoveryOptions& options,
-                        std::vector<EntityId> recorded_questions = {});
+  DiscoverySession(const SetCollection& collection, const InvertedIndex& index,
+                   std::span<const EntityId> initial, EntitySelector& selector,
+                   const DiscoveryOptions& options = {},
+                   std::vector<EntityId> recorded_questions = {});
 
-  BasicDiscoverySession(BasicDiscoverySession&&) = default;
-  BasicDiscoverySession& operator=(BasicDiscoverySession&&) = default;
+  DiscoverySession(DiscoverySession&&) = default;
+  DiscoverySession& operator=(DiscoverySession&&) = default;
 
-  SessionState state() const override { return state_; }
+  SessionState state() const { return state_; }
+  bool done() const { return state_ == SessionState::kFinished; }
 
-  EntityId NextQuestion() const override {
+  /// The entity of the pending question. Only valid in kAwaitingAnswer
+  /// (returns kNoEntity otherwise).
+  EntityId NextQuestion() const {
     return state_ == SessionState::kAwaitingAnswer ? pending_entity_
                                                    : kNoEntity;
   }
 
-  SetId PendingVerify() const override {
+  /// The single remaining candidate awaiting confirmation. Only valid in
+  /// kAwaitingVerify (returns kNoSet otherwise).
+  SetId PendingVerify() const {
     return state_ == SessionState::kAwaitingVerify ? pending_set_ : kNoSet;
   }
 
-  void SubmitAnswer(Oracle::Answer answer) override;
-  void Verify(bool confirmed) override;
+  /// Answers the pending question (state must be kAwaitingAnswer) and
+  /// advances: partitions the candidates — or, for kDontKnow under
+  /// options.handle_dont_know, excludes the entity and re-selects on the
+  /// same candidates (§6) — then picks the next question or finishes.
+  void SubmitAnswer(Oracle::Answer answer);
 
-  const DiscoveryResult& result() const override { return result_; }
-  DiscoveryResult TakeResult() override;
+  /// Resolves the pending verification (state must be kAwaitingVerify).
+  /// `confirmed` = true ends the session confirmed; false triggers §6
+  /// backtracking: the most recent unflipped answer is flipped and the
+  /// session resumes on the alternative branch (or finishes when the answer
+  /// tree or the flip budget is exhausted).
+  void Verify(bool confirmed);
 
-  size_t num_candidates() const override { return candidates_.size(); }
+  /// Live view of the result so far (questions, transcript, candidates...).
+  /// Fully populated once done().
+  const DiscoveryResult& result() const { return result_; }
 
-  const DiscoveryOptions& options() const override { return options_; }
+  /// Moves the result out; the session must be done().
+  DiscoveryResult TakeResult();
 
-  void EnableTracing(size_t capacity) override;
-  const obs::TraceRing* trace() const override { return trace_.get(); }
+  /// Number of candidate sets still standing.
+  size_t num_candidates() const { return candidates_.size(); }
 
-  void SetEffortSource(const std::atomic<int>* source) override {
+  const DiscoveryOptions& options() const { return options_; }
+
+  /// Turns on the per-step TraceEvent journal: the next `capacity` completed
+  /// steps (overwrite-oldest past that) are recorded with phase latencies
+  /// and serve paths. Steps taken before the call are not traced. Off by
+  /// default.
+  void EnableTracing(size_t capacity);
+
+  /// The trace ring, or nullptr when tracing is off. Reading it while
+  /// another thread steps the session is a race — callers serialize via
+  /// whatever serializes steps (SessionManager's entry mutex).
+  const obs::TraceRing* trace() const { return trace_.get(); }
+
+  /// Load-adaptive degradation: points the session at a live effort level
+  /// (service/load_controller.h writes it, SessionManager owns the cell).
+  /// Each step re-reads the cell on entry and forwards changes to the
+  /// selector's SetEffort, so degradation and recovery take effect on the
+  /// very next step of every session without per-session bookkeeping.
+  /// nullptr (the default) pins full effort. The cell must outlive the
+  /// session.
+  void SetEffortSource(const std::atomic<int>* source) {
     effort_source_ = source;
     ApplyEffort();
   }
 
-  bool EndReplay() override;
+  /// Ends the replay of recorded questions the session was built with (see
+  /// the constructor): later selections call the selector. Returns false
+  /// when a recorded question was rejected or some were never reached — the
+  /// journal does not describe this conversation. A session built without
+  /// recorded questions returns true.
+  bool EndReplay();
 
  private:
-  /// One answered question: the candidate view before it, the entity asked,
+  /// One answered question: the candidates before it, the entity asked,
   /// and the branch taken. Kept for §6 backtracking.
   struct Frame {
-    View before;
+    SubCollection before;
     EntityId entity;
     bool answered_yes;
     bool flipped = false;
@@ -287,6 +178,14 @@ class BasicDiscoverySession : public DiscoveryEngine {
   void Backtrack();
 
   void Finish() { state_ = SessionState::kFinished; }
+
+  /// Copies `view`'s set ids into the result's candidates.
+  void ReportCandidates(const SubCollection& view) {
+    result_.candidates.assign(view.ids().begin(), view.ids().end());
+  }
+
+  /// `view` without the sets refuted during verification.
+  SubCollection WithoutRejected(SubCollection view) const;
 
   /// The uninstrumented step bodies; the public SubmitAnswer/Verify wrap
   /// them with the step timer, phase scope, and trace capture when metrics
@@ -312,12 +211,12 @@ class BasicDiscoverySession : public DiscoveryEngine {
     }
   }
 
-  Engine engine_;
-  Selector* selector_;
+  const SetCollection* collection_;
+  EntitySelector* selector_;
   DiscoveryOptions options_;
 
   SessionState state_ = SessionState::kFinished;
-  View candidates_;
+  SubCollection candidates_;
   EntityId pending_entity_ = kNoEntity;
   SetId pending_set_ = kNoSet;
 
@@ -340,43 +239,10 @@ class BasicDiscoverySession : public DiscoveryEngine {
 
   /// Per-session step TraceEvent journal; null unless EnableTracing() ran.
   std::unique_ptr<obs::TraceRing> trace_;
-  /// setdisc_step_latency_ns{selector, shards} — resolved once at
-  /// construction (null when metrics were disabled then).
+  /// setdisc_step_latency_ns{selector} — resolved once at construction
+  /// (null when metrics were disabled then).
   obs::Histogram* step_hist_ = nullptr;
   uint32_t step_index_ = 0;
-};
-
-extern template class BasicDiscoverySession<UnshardedEngine>;
-extern template class BasicDiscoverySession<ShardedEngine>;
-
-/// One interactive discovery conversation over a flat collection, advanced
-/// step by step — the engine `Discover()` and the unsharded SessionManager
-/// path drive.
-class DiscoverySession : public BasicDiscoverySession<UnshardedEngine> {
- public:
-  DiscoverySession(const SetCollection& collection, const InvertedIndex& index,
-                   std::span<const EntityId> initial, EntitySelector& selector,
-                   const DiscoveryOptions& options = {},
-                   std::vector<EntityId> recorded_questions = {})
-      : BasicDiscoverySession(UnshardedEngine{&collection, &index}, initial,
-                              selector, options,
-                              std::move(recorded_questions)) {}
-};
-
-/// The same conversation over a sharded collection: candidate seeding,
-/// counting, and partition-on-answer run per shard (fanned across `pool`
-/// when given), transcripts stay byte-identical to DiscoverySession.
-class ShardedDiscoverySession : public BasicDiscoverySession<ShardedEngine> {
- public:
-  ShardedDiscoverySession(const ShardedCollection& collection,
-                          std::span<const EntityId> initial,
-                          ShardedEntitySelector& selector,
-                          const DiscoveryOptions& options = {},
-                          ThreadPool* pool = nullptr,
-                          std::vector<EntityId> recorded_questions = {})
-      : BasicDiscoverySession(ShardedEngine{&collection, pool}, initial,
-                              selector, options,
-                              std::move(recorded_questions)) {}
 };
 
 }  // namespace setdisc

@@ -59,7 +59,6 @@
 #include "collection/fingerprint.h"
 #include "collection/types.h"
 #include "core/selector.h"
-#include "core/sharded_selectors.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "service/durability.h"
@@ -290,76 +289,6 @@ class CachingSelector : public EntitySelector {
 
  private:
   std::unique_ptr<EntitySelector> inner_;
-  SelectionCache* cache_;
-  uint64_t tag_;
-};
-
-/// The sharded twin of CachingSelector: decorates a ShardedEntitySelector
-/// with the same shared memo. The key composes the per-shard fingerprints —
-/// ShardedCollection::Fingerprint() folds the K shard content fingerprints
-/// with K and the scheme, ShardedSubCollection::Fingerprint() folds the K
-/// per-shard candidate fingerprints — so sessions over different shard
-/// counts (or schemes) of the same collection can share one cache without
-/// ever colliding: a different K is a different collection fingerprint.
-/// K == 1 keys are constructed to equal the unsharded ones, so degenerate
-/// sharded sessions and unsharded sessions share their entries.
-class ShardedCachingSelector : public ShardedEntitySelector {
- public:
-  ShardedCachingSelector(std::unique_ptr<ShardedEntitySelector> inner,
-                         SelectionCache* cache)
-      : inner_(std::move(inner)),
-        cache_(cache),
-        tag_(inner_->DecisionFingerprint()) {}
-
-  EntityId Select(const ShardedSubCollection& sub,
-                  const EntityExclusion* excluded = nullptr) override {
-    if (cache_->Bypasses(excluded)) {
-      cache_->CountBypass();
-      return inner_->Select(sub, excluded);
-    }
-    SelectionKey key{sub.collection().Fingerprint(), sub.Fingerprint(),
-                     excluded != nullptr ? excluded->Fingerprint() : 0, tag_};
-    EntityId entity = kNoEntity;
-    {
-      obs::PhaseTimer timer(obs::Phase::kCacheLookup);
-      if (cache_->Lookup(key, &entity)) {
-        obs::NoteServePath(obs::ServePath::kCacheHit);
-        return entity;
-      }
-    }
-    entity = inner_->Select(sub, excluded);
-    {
-      obs::PhaseTimer timer(obs::Phase::kCacheLookup);
-      cache_->Insert(key, entity);
-    }
-    return entity;
-  }
-
-  std::string_view name() const override { return inner_->name(); }
-
-  /// The counting pool belongs to the inner selector doing the work.
-  void set_pool(ThreadPool* pool) override { inner_->set_pool(pool); }
-
-  /// Differential-counting pass-through; see CachingSelector.
-  void NotePartition(const ShardedSubCollection& parent, EntityId e,
-                     bool kept_contains, const ShardedSubCollection& kept,
-                     ShardedSubCollection dropped) override {
-    inner_->NotePartition(parent, e, kept_contains, kept, std::move(dropped));
-  }
-  void InvalidateCountState() override { inner_->InvalidateCountState(); }
-  void ReleaseMemory() override { inner_->ReleaseMemory(); }
-
-  /// See CachingSelector::SetEffort: keep tag_ in lockstep with the inner
-  /// decision function.
-  void SetEffort(int level) override {
-    inner_->SetEffort(level);
-    tag_ = inner_->DecisionFingerprint();
-  }
-
-  ShardedEntitySelector& inner() { return *inner_; }
-
- private:
-  std::unique_ptr<ShardedEntitySelector> inner_;
   SelectionCache* cache_;
   uint64_t tag_;
 };

@@ -30,22 +30,9 @@ SessionManager::SessionManager(const SetCollection& collection,
   effort_level_.store(
       options_.initial_effort_level < 0 ? 0 : options_.initial_effort_level,
       std::memory_order_relaxed);
-  if (options_.num_shards > 1) {
-    SETDISC_CHECK_MSG(
-        options_.sharded_selector_factory != nullptr,
-        "SessionManagerOptions.sharded_selector_factory must be set when "
-        "num_shards > 1");
-    sharded_ = std::make_unique<ShardedCollection>(
-        collection_,
-        ShardingOptions{options_.num_shards, options_.shard_scheme});
-  } else {
-    SETDISC_CHECK_MSG(options_.selector_factory != nullptr,
-                      "SessionManagerOptions.selector_factory must be set");
-  }
+  SETDISC_CHECK_MSG(options_.selector_factory != nullptr,
+                    "SessionManagerOptions.selector_factory must be set");
   store_ = options_.session_store;
-  // Content fingerprint only (not the shard configuration): transcripts are
-  // byte-identical across shard counts, so a record spilled under one K
-  // legitimately resumes under another.
   store_fp_ = collection_.Fingerprint();
   if (store_ != nullptr) {
     // Never reissue a persisted id: a new session under a recycled id would
@@ -125,7 +112,7 @@ void SessionManager::ReaperLoop(std::chrono::milliseconds interval) {
 }
 
 SessionView SessionManager::MakeView(SessionId id,
-                                     const DiscoveryEngine& session,
+                                     const DiscoverySession& session,
                                      uint64_t token) {
   SessionView view;
   view.id = id;
@@ -142,43 +129,24 @@ std::shared_ptr<SessionManager::Entry> SessionManager::NewEntry(
     std::span<const EntityId> initial, int effort, bool enable_trace,
     std::vector<EntityId> recorded_questions) {
   auto entry = std::make_shared<Entry>();
-  // The initial Select() (inside the session constructors below) runs
-  // outside the registry lock: it can be a real scan, and other sessions
-  // must keep stepping meanwhile. (With the shared cache it is usually a
-  // hash hit instead — the whole point.)
-  if (sharded_ != nullptr) {
-    std::unique_ptr<ShardedEntitySelector> selector =
-        options_.sharded_selector_factory();
-    SETDISC_CHECK_MSG(selector != nullptr,
-                      "sharded_selector_factory returned nullptr");
-    if (options_.selection_cache != nullptr) {
-      selector = std::make_unique<ShardedCachingSelector>(
-          std::move(selector), options_.selection_cache);
-    }
-    // The counting fan-out shares the step pool; ParallelFor callers help
-    // drain their own items, so pool jobs stepping sessions stay safe.
-    selector->set_pool(pool_.get());
-    // Pre-apply the requested level so the creation step's first Select()
-    // already runs at it (the effort source, attached later by the caller,
-    // only covers subsequent steps).
-    if (effort != 0) selector->SetEffort(effort);
-    entry->sharded_selector = std::move(selector);
-    entry->session = std::make_unique<ShardedDiscoverySession>(
-        *sharded_, initial, *entry->sharded_selector, options_.discovery,
-        pool_.get(), std::move(recorded_questions));
-  } else {
-    std::unique_ptr<EntitySelector> selector = options_.selector_factory();
-    SETDISC_CHECK_MSG(selector != nullptr, "selector_factory returned nullptr");
-    if (options_.selection_cache != nullptr) {
-      selector = std::make_unique<CachingSelector>(std::move(selector),
-                                                   options_.selection_cache);
-    }
-    if (effort != 0) selector->SetEffort(effort);
-    entry->selector = std::move(selector);
-    entry->session = std::make_unique<DiscoverySession>(
-        collection_, index_, initial, *entry->selector, options_.discovery,
-        std::move(recorded_questions));
+  std::unique_ptr<EntitySelector> selector = options_.selector_factory();
+  SETDISC_CHECK_MSG(selector != nullptr, "selector_factory returned nullptr");
+  if (options_.selection_cache != nullptr) {
+    selector = std::make_unique<CachingSelector>(std::move(selector),
+                                                 options_.selection_cache);
   }
+  // Pre-apply the requested level so the creation step's first Select()
+  // already runs at it (the effort source, attached later by the caller,
+  // only covers subsequent steps).
+  if (effort != 0) selector->SetEffort(effort);
+  entry->selector = std::move(selector);
+  // The initial Select() (inside the session constructor) runs outside the
+  // registry lock: it can be a real scan, and other sessions must keep
+  // stepping meanwhile. (With the shared cache it is usually a hash hit
+  // instead — the whole point.)
+  entry->session = std::make_unique<DiscoverySession>(
+      collection_, index_, initial, *entry->selector, options_.discovery,
+      std::move(recorded_questions));
   if (enable_trace) {
     // Attached after the constructor's first Select(), so the creation step
     // itself is not in the ring — documented on Create().
@@ -224,9 +192,7 @@ SessionView SessionManager::Create(std::span<const EntityId> initial,
   }
   if (store_ != nullptr) {
     entry->record.collection_fingerprint = store_fp_;
-    entry->record.selector.assign(entry->selector != nullptr
-                                      ? entry->selector->name()
-                                      : entry->sharded_selector->name());
+    entry->record.selector.assign(entry->selector->name());
     entry->record.options = options_.discovery;
     entry->record.set_trace_enabled(enable_trace);
     entry->record.create_effort = EffortByte(create_effort);
@@ -347,26 +313,19 @@ std::shared_ptr<SessionManager::Entry> SessionManager::Rehydrate(
   std::shared_ptr<Entry> entry = NewEntry(
       rec.initial, rec.create_effort, rec.trace_enabled(),
       RecordedQuestions(rec));
-  const std::string_view selector_name = entry->selector != nullptr
-                                             ? entry->selector->name()
-                                             : entry->sharded_selector->name();
-  if (selector_name != rec.selector) {
+  if (entry->selector->name() != rec.selector) {
     return fail("rehydrate: selector mismatch", id);
   }
   // Replay the journal. A version-2 record's questions were handed to the
   // session above, so the replay runs partitions only; a version-1 record
   // has none and replays through the selector, pinned to each event's
   // recorded effort (no effort source yet, so manual SetEffort sticks — see
-  // DiscoveryEngine::SetEffortSource), where a deterministic selector
+  // DiscoverySession::SetEffortSource), where a deterministic selector
   // reproduces the exact candidate narrowing, exclusions, and transcript.
   int applied = rec.create_effort;
   for (const SessionEvent& ev : rec.events) {
     if (ev.effort != applied) {
-      if (entry->selector != nullptr) {
-        entry->selector->SetEffort(ev.effort);
-      } else {
-        entry->sharded_selector->SetEffort(ev.effort);
-      }
+      entry->selector->SetEffort(ev.effort);
       applied = ev.effort;
     }
     if (ev.kind == kEventAnswer) {
@@ -392,13 +351,7 @@ std::shared_ptr<SessionManager::Entry> SessionManager::Rehydrate(
   // Rejoin the live effort regime: pin the current level, then attach the
   // source so future controller moves land like on any other session.
   const int live = effort_level_.load(std::memory_order_relaxed);
-  if (live != applied) {
-    if (entry->selector != nullptr) {
-      entry->selector->SetEffort(live);
-    } else {
-      entry->sharded_selector->SetEffort(live);
-    }
-  }
+  if (live != applied) entry->selector->SetEffort(live);
   entry->session->SetEffortSource(&effort_level_);
   entry->token = rec.token;
   entry->journey_trace = rec.journey_trace;
@@ -685,10 +638,7 @@ size_t SessionManager::ReleaseIdleScratch() {
     // next tick reconsiders. (Its touch also cleared scratch_released.)
     std::unique_lock<std::mutex> step_lock(entry->mu, std::try_to_lock);
     if (!step_lock.owns_lock()) continue;
-    if (entry->selector != nullptr) entry->selector->ReleaseMemory();
-    if (entry->sharded_selector != nullptr) {
-      entry->sharded_selector->ReleaseMemory();
-    }
+    entry->selector->ReleaseMemory();
     step_lock.unlock();
     ++released;
     std::lock_guard<std::mutex> lock(registry_mu_);

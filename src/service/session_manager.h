@@ -16,13 +16,7 @@
 ///     recently used session when the registry is full;
 ///   * an internal ThreadPool runs independent sessions' Select() calls
 ///     concurrently (SubmitAnswerAsync), since selection is the CPU cost of
-///     a step;
-///   * with `options.num_shards > 1` the manager builds a ShardedCollection
-///     over the input at construction and every session runs the sharded
-///     engine: the per-step counting pass fans out across the same pool via
-///     ThreadPool::ParallelFor and merges (collection/sharded_collection.h)
-///     — parallelism *within* a step on top of the parallelism *across*
-///     sessions — with transcripts byte-identical to unsharded serving.
+///     a step.
 ///
 /// The network frontend lives one layer up: net/server.h loops an epoll
 /// event loop around this engine and speaks the binary protocol of
@@ -46,10 +40,8 @@
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "collection/set_collection.h"
-#include "collection/sharded_collection.h"
 #include "core/discovery.h"
 #include "core/selector.h"
-#include "core/sharded_selectors.h"
 #include "service/discovery_session.h"
 #include "service/selection_cache.h"
 #include "service/session_store.h"
@@ -90,35 +82,15 @@ struct SessionManagerOptions {
   /// Discovery options applied to every session.
   DiscoveryOptions discovery;
 
-  /// Factory producing one private selector per session. Must be set unless
-  /// num_shards > 1 (sharded managers use sharded_selector_factory instead).
+  /// Factory producing one private selector per session. Must be set.
   std::function<std::unique_ptr<EntitySelector>()> selector_factory;
 
-  /// Number of collection shards. 0 or 1 = unsharded (the input collection
-  /// and index are used as-is). K > 1 builds a ShardedCollection at manager
-  /// construction — K per-shard CSR collections + inverted indexes — and
-  /// runs every session on the sharded engine. Transcripts are byte-equal
-  /// either way; sharding buys intra-step parallelism on large collections
-  /// and costs merge overhead on tiny ones (see tools/README.md).
-  size_t num_shards = 1;
-
-  /// How set ids map to shards when num_shards > 1.
-  ShardScheme shard_scheme = ShardScheme::kRange;
-
-  /// Factory producing one private sharded selector per session; required
-  /// when num_shards > 1, ignored otherwise. The manager injects its pool
-  /// into each instance (set_pool) after creation.
-  std::function<std::unique_ptr<ShardedEntitySelector>()>
-      sharded_selector_factory;
-
   /// Optional cross-session Select() memo. When set, every session's private
-  /// selector is wrapped in a CachingSelector (or ShardedCachingSelector)
-  /// pointing at this cache, so all sessions of this manager (and of any
-  /// other manager given the same pointer) share one memo without sharing
-  /// selectors. The cache must outlive the manager, and the factory must
-  /// produce deterministic selectors (see selection_cache.h). Sharded and
-  /// unsharded managers can safely share one cache: shard count and scheme
-  /// are part of the key's collection-fingerprint component.
+  /// selector is wrapped in a CachingSelector pointing at this cache, so all
+  /// sessions of this manager (and of any other manager given the same
+  /// pointer) share one memo without sharing selectors. The cache must
+  /// outlive the manager, and the factory must produce deterministic
+  /// selectors (see selection_cache.h).
   SelectionCache* selection_cache = nullptr;
 
   /// Sessions idle longer than this are reaped (zero = never).
@@ -152,8 +124,7 @@ struct SessionManagerOptions {
   /// least recently touched session (zero = unlimited).
   size_t max_sessions = 0;
 
-  /// Worker threads for SubmitAnswerAsync and the sharded counting fan-out
-  /// (zero = hardware concurrency).
+  /// Worker threads for SubmitAnswerAsync (zero = hardware concurrency).
   size_t num_threads = 0;
 
   /// Registry to publish manager-level gauges into (sessions active, total
@@ -197,8 +168,7 @@ struct SessionManagerOptions {
 class SessionManager {
  public:
   /// The collection and index must outlive the manager and are shared
-  /// read-only across all sessions. The selector factory matching
-  /// `options.num_shards` must be set.
+  /// read-only across all sessions. `options.selector_factory` must be set.
   SessionManager(const SetCollection& collection, const InvertedIndex& index,
                  SessionManagerOptions options);
 
@@ -280,7 +250,7 @@ class SessionManager {
   size_t ReapIdle(std::chrono::milliseconds threshold);
 
   /// Sets the process effort level for load-adaptive degradation. Every
-  /// session re-reads it at step entry (DiscoveryEngine::SetEffortSource),
+  /// session re-reads it at step entry (DiscoverySession::SetEffortSource),
   /// so the change lands on the next step of every conversation. Normally
   /// written by a LoadController's effort sink; 0 restores full effort.
   void SetEffortLevel(int level) {
@@ -303,15 +273,6 @@ class SessionManager {
   /// Total sessions ever created.
   uint64_t num_created() const;
 
-  /// True when this manager runs the sharded engine (num_shards > 1).
-  bool sharded() const { return sharded_ != nullptr; }
-
-  /// The manager-owned sharded view of the collection; nullptr unless
-  /// sharded(). Exposed for benches and tests.
-  const ShardedCollection* sharded_collection() const {
-    return sharded_.get();
-  }
-
   /// The pool running SubmitAnswerAsync work — exposed so callers (benches,
   /// servers) can co-schedule whole-conversation jobs on the same workers.
   ///
@@ -320,8 +281,6 @@ class SessionManager {
   /// async step tasks queue behind them forever. Pool jobs should use the
   /// synchronous SubmitAnswer/Verify/Drive (as the CLI stress mode and
   /// benches do); reserve SubmitAnswerAsync for callers outside the pool.
-  /// (The sharded counting fan-out is exempt: ParallelFor callers execute
-  /// their own items, so it cannot deadlock — see util/thread_pool.h.)
   ThreadPool& pool() { return *pool_; }
 
   /// The shared Select() memo, if one was configured; nullptr otherwise.
@@ -329,15 +288,14 @@ class SessionManager {
   SelectionCache* selection_cache() const { return options_.selection_cache; }
 
  private:
-  /// A live session: its engine, its private selector (one of the two
-  /// flavors), a mutex serializing the steps of this one conversation, and
+  /// A live session: its state machine, its private selector, a mutex
+  /// serializing the steps of this one conversation, and
   /// its node in the registry's LRU list (an iterator, so touch/evict/close
   /// are all O(1) splices).
   struct Entry {
     std::mutex mu;
     std::unique_ptr<EntitySelector> selector;
-    std::unique_ptr<ShardedEntitySelector> sharded_selector;
-    std::unique_ptr<DiscoveryEngine> session;
+    std::unique_ptr<DiscoverySession> session;
     Clock::time_point last_touched;
     std::list<SessionId>::iterator lru_it;
     /// Guarded by registry_mu_: set once the shrink-on-idle pass released
@@ -376,7 +334,7 @@ class SessionManager {
   /// pre-applied), session over `initial`, optional tracing. The creation
   /// Select runs here, outside any lock — or, for a rehydration, the first
   /// of `recorded_questions` stands in for it (see
-  /// BasicDiscoverySession's replay constructor). Does NOT attach the live
+  /// DiscoverySession's replay constructor). Does NOT attach the live
   /// effort source — Create/Rehydrate do that once the entry's selector is
   /// at the right level.
   std::shared_ptr<Entry> NewEntry(
@@ -392,7 +350,7 @@ class SessionManager {
   /// registry_mu_. Shared tail of TTL reaping and pressure eviction.
   size_t ReapOlderThanLocked(Clock::time_point cutoff);
   void ReaperLoop(std::chrono::milliseconds interval);
-  static SessionView MakeView(SessionId id, const DiscoveryEngine& session,
+  static SessionView MakeView(SessionId id, const DiscoverySession& session,
                               uint64_t token = 0);
 
   const SetCollection& collection_;
@@ -403,7 +361,6 @@ class SessionManager {
   /// Live degradation level; sessions point at this cell (it outlives them
   /// by construction) and re-read it at every step entry.
   std::atomic<int> effort_level_{0};
-  std::unique_ptr<ShardedCollection> sharded_;  // only when num_shards > 1
   std::unique_ptr<ThreadPool> pool_;
 
   mutable std::mutex registry_mu_;
@@ -419,10 +376,8 @@ class SessionManager {
   /// Shortcut for options_.session_store (may be null).
   SessionStore* store_ = nullptr;
   /// Collection identity persisted in every record: the *content*
-  /// fingerprint (SetCollection::Fingerprint()), deliberately not folded
-  /// with the shard configuration — transcripts are byte-identical across
-  /// shard counts, so a session spilled under K=4 legitimately resumes
-  /// under K=1.
+  /// fingerprint (SetCollection::Fingerprint()) alone, so records spilled by
+  /// a server that still ran the since-removed sharded engine resume here.
   uint64_t store_fp_ = 0;
   /// Token minting; guarded by registry_mu_, seeded from the OS entropy
   /// pool at construction.

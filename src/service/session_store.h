@@ -7,7 +7,7 @@
 /// initial examples, the discovery options, the selector it runs, and the
 /// ordered answer/verify events. Replaying those events through a fresh
 /// engine reproduces the exact candidate state, exclusion mask, and
-/// transcript — BasicDiscoverySession is deterministic by construction — so
+/// transcript — DiscoverySession is deterministic by construction — so
 /// the store persists the *inputs* of a session, not its derived state.
 /// That keeps records a few dozen bytes a step and makes rehydration
 /// byte-parity with a never-evicted session testable (the parity suite
@@ -18,7 +18,7 @@
 /// answer taken. Records since version 2 journal both labels: every answer
 /// event carries the entity it answered, and the record carries the
 /// question pending after its last event. Rehydration hands those recorded
-/// questions to the session (BasicDiscoverySession's replay constructor),
+/// questions to the session (DiscoverySession's replay constructor),
 /// which replays partitions only — no Select() per node — after checking
 /// each one names an entity of the collection that is not excluded and is
 /// the question pending at that point. That is sound because a selector's
@@ -98,8 +98,8 @@ struct SessionRecord {
   uint64_t id = 0;
   /// Session auth token (0 = none issued).
   uint64_t token = 0;
-  /// Collection identity: SetCollection::Fingerprint() folded with the
-  /// shard configuration (SessionManager computes it). Records whose
+  /// Collection identity: SetCollection::Fingerprint(), a function of the
+  /// collection's content alone (SessionManager computes it). Records whose
   /// fingerprint does not match the serving collection are dropped on
   /// replay — resuming a conversation over different data would silently
   /// answer wrong questions.

@@ -1,7 +1,5 @@
 #include "util/thread_pool.h"
 
-#include <memory>
-
 #include "obs/metrics.h"
 #include "obs/registry.h"
 #include "util/status.h"
@@ -53,55 +51,6 @@ void ThreadPool::Enqueue(std::function<void()> task) {
     }
   }
   cv_.notify_one();
-}
-
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  if (n == 1 || workers_.empty()) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-
-  // Shared claim/complete state. Helpers submitted to the queue may run long
-  // after this call returns (they find nothing left to claim); the shared_ptr
-  // keeps the state alive for them, and `fn` is only ever dereferenced for a
-  // successfully claimed index — which implies the caller is still waiting.
-  struct State {
-    const std::function<void(size_t)>* fn;
-    size_t n;
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> done{0};
-    std::mutex mu;
-    std::condition_variable cv;
-  };
-  auto state = std::make_shared<State>();
-  state->fn = &fn;
-  state->n = n;
-
-  auto drain = [](const std::shared_ptr<State>& s) {
-    for (;;) {
-      size_t i = s->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= s->n) return;
-      (*s->fn)(i);
-      if (s->done.fetch_add(1, std::memory_order_acq_rel) + 1 == s->n) {
-        // Lock before notifying so the waiter cannot check the predicate,
-        // miss this increment, and sleep through the only notification.
-        std::lock_guard<std::mutex> lock(s->mu);
-        s->cv.notify_all();
-      }
-    }
-  };
-
-  // One helper per worker at most; the caller is the (n)th executor.
-  size_t helpers = std::min(n - 1, workers_.size());
-  for (size_t i = 0; i < helpers; ++i) {
-    Enqueue([state, drain] { drain(state); });
-  }
-  drain(state);
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&] {
-    return state->done.load(std::memory_order_acquire) == n;
-  });
 }
 
 void ThreadPool::WorkerLoop() {

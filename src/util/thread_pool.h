@@ -1,23 +1,18 @@
 #pragma once
 
 /// \file thread_pool.h
-/// A small fixed-size worker pool shared by the service layer and the
-/// sharded collection machinery.
+/// A small fixed-size worker pool for the service layer.
 ///
 /// The SessionManager multiplexes many interactive sessions over one shared
 /// SetCollection; the CPU cost of a step is the selector's Select() scan,
 /// which is independent across sessions. The pool lets those scans run
 /// concurrently while the shared collection and index stay read-only.
-///
-/// ParallelFor adds the second axis of parallelism — *within* one step: a
-/// sharded collection's counting pass fans one task per shard across the
-/// same workers (see collection/sharded_collection.h).
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -49,18 +44,6 @@ class ThreadPool {
     Enqueue([task]() { (*task)(); });
     return future;
   }
-
-  /// Runs fn(0) .. fn(n-1), possibly in parallel, and returns when all n
-  /// calls have finished. The *calling* thread claims and executes items
-  /// alongside the workers, which makes the primitive deadlock-free by
-  /// construction: even if every worker is busy (or parked inside a
-  /// ParallelFor of its own), the caller drains its items itself — helper
-  /// tasks submitted to the queue only accelerate, they are never required
-  /// for progress. That property is what allows session steps that already
-  /// RUN on this pool to fan their per-shard counting out across it.
-  ///
-  /// `fn` must be safe to invoke concurrently for distinct indices.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   size_t num_threads() const { return workers_.size(); }
 

@@ -15,7 +15,6 @@
 #include "collection/delta_counter.h"
 #include "collection/entity_counter.h"
 #include "collection/inverted_index.h"
-#include "collection/sharded_collection.h"
 #include "collection/sub_collection.h"
 #include "core/selectors.h"
 #include "test_util.h"
@@ -625,51 +624,6 @@ TEST(OrderedEmitTest, SeededChildServesOrder) {
                                         nullptr, &ordered));
     EXPECT_EQ(ordered, SortedByImbalance(got, kept.size()))
         << "keep_in " << keep_in;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// ShardedCounter: per-shard derivation parity against the unsharded counter.
-
-TEST(ShardedDeltaCounterTest, ChainMatchesUnshardedReference) {
-  for (size_t num_shards : {size_t{1}, size_t{3}, size_t{8}}) {
-    for (ShardScheme scheme : {ShardScheme::kRange, ShardScheme::kHash}) {
-      SetCollection c = RandomCollection(51, 48, 24, 0.35);
-      ShardedCollection sharded(c, {num_shards, scheme});
-      Rng rng(99);
-      ShardedCounter counter;
-      EntityExclusion excluded;
-      std::vector<EntityCount> got;
-
-      ShardedSubCollection view = sharded.Full();
-      SubCollection flat = SubCollection::Full(&c);
-      int guard = 0;
-      while (view.size() >= 2 && guard++ < 100) {
-        const EntityExclusion* mask = excluded.empty() ? nullptr : &excluded;
-        counter.CountInformative(view, &got, mask);
-        std::vector<EntityCount> want = BruteInformative(flat, mask);
-        ASSERT_EQ(got, want)
-            << "K=" << num_shards << " scheme " << static_cast<int>(scheme);
-        if (got.empty()) break;
-        EntityCount pick = got[rng.Uniform(got.size())];
-        if (rng.Bernoulli(0.25)) {
-          excluded.Set(pick.entity);
-          continue;
-        }
-        auto [in, out] = view.Partition(pick.entity, true);
-        auto [fin, fout] = flat.Partition(pick.entity, true);
-        if (rng.Bernoulli(0.5)) {
-          counter.NotePartition(view, in, std::move(out));
-          view = std::move(in);
-          flat = std::move(fin);
-        } else {
-          counter.NotePartition(view, out, std::move(in));
-          view = std::move(out);
-          flat = std::move(fout);
-        }
-      }
-      EXPECT_GT(counter.delta_stats().total(), 0u);
-    }
   }
 }
 

@@ -1,12 +1,11 @@
 // The property the differential counting engine rests on: a session driven
 // by delta-counting selectors produces byte-identical transcripts to one
 // driven by full-recount selectors, for every deterministic strategy and
-// every §6 configuration, unsharded and sharded. Parity would break on a
-// wrong subtraction, a missed invalidation (backtracking), a stale seed
-// after a cache hit, an exclusion mask applied at the wrong layer, or a
-// fingerprint-chain bug — so the suite runs don't-know-heavy,
-// error/backtracking, and budget configs across seeds, selectors,
-// K ∈ {1, 3, 8}, both shard schemes, the shared-cache composition, the
+// every §6 configuration. Parity would break on a wrong subtraction, a
+// missed invalidation (backtracking), a stale seed after a cache hit, an
+// exclusion mask applied at the wrong layer, or a fingerprint-chain bug —
+// so the suite runs don't-know-heavy, error/backtracking, and budget
+// configs across seeds, selectors, the shared-cache composition, the
 // manager level (including shrink-on-idle), and a concurrent stress (the
 // TSan target for ReleaseIdleScratch racing live steps).
 
@@ -19,7 +18,6 @@
 
 #include "core/klp.h"
 #include "core/selectors.h"
-#include "core/sharded_selectors.h"
 #include "core/weighted.h"
 #include "core/weighted_klp.h"
 #include "service/discovery_session.h"
@@ -48,7 +46,7 @@ void ExpectIdenticalResults(const DiscoveryResult& full,
   }
 }
 
-DiscoveryResult RunToCompletion(DiscoveryEngine& session,
+DiscoveryResult RunToCompletion(DiscoverySession& session,
                                 const SetCollection& c, SetId target,
                                 uint64_t oracle_seed, double error_rate,
                                 double dont_know_rate) {
@@ -149,69 +147,6 @@ TEST(DeltaParityTest, QuestionBudget) {
   DiscoveryOptions options;
   options.max_questions = 3;
   CheckDeltaParity(options, 0.0, 0.1);
-}
-
-// Sharded sessions with delta on vs the unsharded full-recount reference:
-// covers the per-shard derivation, the combined-view seeding in
-// ShardedKlpSelector, and both id schemes.
-TEST(DeltaParityTest, ShardedDeltaMatchesUnshardedFull) {
-  struct ShardedPair {
-    const char* label;
-    std::function<std::unique_ptr<EntitySelector>()> make_full;
-    std::function<std::unique_ptr<ShardedEntitySelector>()> make_sharded;
-  };
-  auto klp_full = [] {
-    KlpOptions o = KlpOptions::MakeKlp(2, CostMetric::kAvgDepth);
-    o.enable_delta_counting = false;
-    return std::make_unique<KlpSelector>(o);
-  };
-  auto klp_sharded = [] {
-    return std::make_unique<ShardedKlpSelector>(
-        KlpOptions::MakeKlp(2, CostMetric::kAvgDepth));
-  };
-  std::vector<ShardedPair> pairs = {
-      {"MostEven", [] { return std::make_unique<MostEvenSelector>(false); },
-       [] { return std::make_unique<ShardedMostEvenSelector>(true); }},
-      {"2-LP", klp_full, klp_sharded},
-  };
-  std::vector<DiscoveryOptions> configs(3);
-  configs[1].handle_dont_know = true;
-  configs[2].verify_and_backtrack = true;
-  double dont_know_rates[] = {0.0, 0.3, 0.0};
-  double error_rates[] = {0.0, 0.0, 0.15};
-  for (uint64_t seed : {501u, 502u}) {
-    SetCollection c = RandomCollection(seed, 24, 20, 0.3);
-    InvertedIndex idx(c);
-    for (size_t cfg = 0; cfg < configs.size(); ++cfg) {
-      for (const ShardedPair& pair : pairs) {
-        for (size_t num_shards : {size_t{1}, size_t{3}, size_t{8}}) {
-          for (ShardScheme scheme :
-               {ShardScheme::kRange, ShardScheme::kHash}) {
-            SCOPED_TRACE(::testing::Message()
-                         << "seed " << seed << ", cfg " << cfg << ", "
-                         << pair.label << ", K " << num_shards << ", scheme "
-                         << static_cast<int>(scheme));
-            ShardedCollection sharded(c, {num_shards, scheme});
-            auto full_selector = pair.make_full();
-            auto sharded_selector = pair.make_sharded();
-            for (SetId target = 0; target < c.num_sets(); target += 3) {
-              uint64_t oracle_seed = seed * 131 + target;
-              DiscoverySession full(c, idx, {}, *full_selector, configs[cfg]);
-              DiscoveryResult expected = RunToCompletion(
-                  full, c, target, oracle_seed, error_rates[cfg],
-                  dont_know_rates[cfg]);
-              ShardedDiscoverySession delta(sharded, {}, *sharded_selector,
-                                            configs[cfg]);
-              DiscoveryResult got = RunToCompletion(
-                  delta, c, target, oracle_seed, error_rates[cfg],
-                  dont_know_rates[cfg]);
-              ExpectIdenticalResults(expected, got);
-            }
-          }
-        }
-      }
-    }
-  }
 }
 
 // The weighted selectors (§7 priors) carry the same differential hooks:

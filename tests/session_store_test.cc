@@ -1,8 +1,8 @@
 // Tests for the durability tier: the CRC record framing and SessionRecord
 // codec (versions 1 and 2), SessionStore WAL/checkpoint semantics under fault
 // injection (FaultFs), spill-to-disk + rehydration byte-parity against
-// never-evicted sessions across selectors, §6 configs, effort changes, a
-// shared selection cache, and shard counts, replay of recorded questions
+// never-evicted sessions across selectors, §6 configs, effort changes, and
+// a shared selection cache, replay of recorded questions
 // without Select() and its rejection of corrupt journals, resume across a
 // simulated restart (store reopened from disk), and the reaper/evictor vs.
 // resume race under a tiny capacity and millisecond reap ticks.
@@ -23,7 +23,6 @@
 
 #include "core/klp.h"
 #include "core/selectors.h"
-#include "core/sharded_selectors.h"
 #include "obs/journey.h"
 #include "obs/registry.h"
 #include "service/durability.h"
@@ -715,8 +714,7 @@ TEST(SpillParity, SharedSelectionCache) {
 // Manager integration: recorded-question replay
 // ---------------------------------------------------------------------------
 
-// MostEven (flat and sharded) counting its Select() calls into a shared
-// counter.
+// MostEven counting its Select() calls into a shared counter.
 class CountedMostEven : public MostEvenSelector {
  public:
   explicit CountedMostEven(std::atomic<int>* selects) : selects_(selects) {}
@@ -724,20 +722,6 @@ class CountedMostEven : public MostEvenSelector {
                   const EntityExclusion* excluded) override {
     selects_->fetch_add(1);
     return MostEvenSelector::Select(sub, excluded);
-  }
-
- private:
-  std::atomic<int>* selects_;
-};
-
-class CountedShardedMostEven : public ShardedMostEvenSelector {
- public:
-  explicit CountedShardedMostEven(std::atomic<int>* selects)
-      : selects_(selects) {}
-  EntityId Select(const ShardedSubCollection& sub,
-                  const EntityExclusion* excluded) override {
-    selects_->fetch_add(1);
-    return ShardedMostEvenSelector::Select(sub, excluded);
   }
 
  private:
@@ -807,66 +791,45 @@ TEST(RecordedReplay, RehydrationMakesNoSelectCalls) {
   EXPECT_EQ(f.selects.load(), 1);
 }
 
-// The replay lives in BasicDiscoverySession, so both engines run it: fed a
-// finished conversation's questions, a fresh session reproduces it without
-// one Select() call, and EndReplay() reports whether the questions matched
-// the conversation exactly — a question left over means they did not.
-template <typename MakeSession>
-void CheckSessionReplay(MakeSession make, std::atomic<int>* selects,
-                        const char* what) {
-  const SetCollection c = MakePaperCollection();
-  for (SetId target = 0; target < c.num_sets(); ++target) {
-    SimulatedOracle oracle(&c, target, 0.0, 0.0, 1);
-    auto live = make(std::vector<EntityId>{});
-    std::vector<EntityId> asked;
-    std::vector<Oracle::Answer> answers;
-    while (!live->done()) {
-      asked.push_back(live->NextQuestion());
-      answers.push_back(oracle.AskMembership(asked.back()));
-      live->SubmitAnswer(answers.back());
-    }
-    for (bool extra : {false, true}) {
-      std::vector<EntityId> recorded = asked;
-      if (extra) recorded.push_back(asked.front());
-      *selects = 0;
-      auto replayed = make(recorded);
-      for (Oracle::Answer a : answers) {
-        ASSERT_EQ(replayed->state(), SessionState::kAwaitingAnswer) << what;
-        replayed->SubmitAnswer(a);
-      }
-      EXPECT_EQ(selects->load(), 0) << what << " target " << target;
-      EXPECT_TRUE(replayed->done()) << what;
-      EXPECT_EQ(replayed->result().transcript, live->result().transcript)
-          << what;
-      EXPECT_EQ(replayed->result().candidates, live->result().candidates)
-          << what;
-      EXPECT_EQ(replayed->EndReplay(), !extra) << what << " target " << target;
-    }
-  }
-}
-
-TEST(RecordedReplay, SessionReplaysRecordedQuestionsOnBothEngines) {
+// Fed a finished conversation's questions, a fresh DiscoverySession
+// reproduces it without one Select() call, and EndReplay() reports whether
+// the questions matched the conversation exactly — a question left over
+// means they did not.
+TEST(RecordedReplay, SessionReplaysRecordedQuestions) {
   const SetCollection c = MakePaperCollection();
   const InvertedIndex idx(c);
   std::atomic<int> selects{0};
   CountedMostEven selector(&selects);
-  CheckSessionReplay(
-      [&](std::vector<EntityId> recorded) {
-        return std::make_unique<DiscoverySession>(
-            c, idx, std::span<const EntityId>{}, selector, DiscoveryOptions{},
-            std::move(recorded));
-      },
-      &selects, "unsharded");
-
-  const ShardedCollection sharded(c, ShardingOptions{3, ShardScheme::kRange});
-  CountedShardedMostEven sharded_selector(&selects);
-  CheckSessionReplay(
-      [&](std::vector<EntityId> recorded) {
-        return std::make_unique<ShardedDiscoverySession>(
-            sharded, std::span<const EntityId>{}, sharded_selector,
-            DiscoveryOptions{}, nullptr, std::move(recorded));
-      },
-      &selects, "sharded");
+  auto make = [&](std::vector<EntityId> recorded) {
+    return DiscoverySession(c, idx, std::span<const EntityId>{}, selector,
+                            DiscoveryOptions{}, std::move(recorded));
+  };
+  for (SetId target = 0; target < c.num_sets(); ++target) {
+    SimulatedOracle oracle(&c, target, 0.0, 0.0, 1);
+    DiscoverySession live = make({});
+    std::vector<EntityId> asked;
+    std::vector<Oracle::Answer> answers;
+    while (!live.done()) {
+      asked.push_back(live.NextQuestion());
+      answers.push_back(oracle.AskMembership(asked.back()));
+      live.SubmitAnswer(answers.back());
+    }
+    for (bool extra : {false, true}) {
+      std::vector<EntityId> recorded = asked;
+      if (extra) recorded.push_back(asked.front());
+      selects = 0;
+      DiscoverySession replayed = make(recorded);
+      for (Oracle::Answer a : answers) {
+        ASSERT_EQ(replayed.state(), SessionState::kAwaitingAnswer);
+        replayed.SubmitAnswer(a);
+      }
+      EXPECT_EQ(selects.load(), 0) << "target " << target;
+      EXPECT_TRUE(replayed.done());
+      EXPECT_EQ(replayed.result().transcript, live.result().transcript);
+      EXPECT_EQ(replayed.result().candidates, live.result().candidates);
+      EXPECT_EQ(replayed.EndReplay(), !extra) << "target " << target;
+    }
+  }
 }
 
 // Crafted journals: each corruption of an otherwise valid record must fail
@@ -1061,39 +1024,30 @@ TEST(RecordedReplay, ResumedSessionKeepsItsJourneyTrace) {
 }
 
 // ---------------------------------------------------------------------------
-// Manager integration: resume across a restart (and across shard counts)
+// Manager integration: resume across a restart
 // ---------------------------------------------------------------------------
 
 // Partially drives sessions under one manager, tears the whole stack down,
-// reopens the store from disk under a fresh manager (possibly sharded
-// differently), and finishes the conversations — outcomes must match an
-// uninterrupted reference run. Deterministic oracles (no errors, no
-// don't-knows) so the continuation is a pure function of the questions.
-void CheckRestartResume(size_t shards_before, size_t shards_after) {
+// reopens the store from disk under a fresh manager, and finishes the
+// conversations — outcomes must match an uninterrupted reference run.
+// Deterministic oracles (no errors, no don't-knows) so the continuation is a
+// pure function of the questions.
+TEST(RestartResume, Unsharded) {
   SetCollection c = MakePaperCollection();
   InvertedIndex idx(c);
-  const std::string dir =
-      FreshDir("restart_" + std::to_string(shards_before) + "_" +
-               std::to_string(shards_after));
+  const std::string dir = FreshDir("restart");
 
-  auto make_options = [&](size_t shards) {
+  auto make_options = [] {
     SessionManagerOptions o;
     o.background_reap = false;
-    o.num_shards = shards;
-    if (shards > 1) {
-      o.sharded_selector_factory = [] {
-        return std::make_unique<ShardedMostEvenSelector>();
-      };
-    } else {
-      o.selector_factory = [] { return std::make_unique<MostEvenSelector>(); };
-    }
+    o.selector_factory = [] { return std::make_unique<MostEvenSelector>(); };
     return o;
   };
 
   // Uninterrupted reference.
   std::vector<DiscoveryResult> want;
   {
-    SessionManagerOptions o = make_options(1);
+    SessionManagerOptions o = make_options();
     SessionManager ref(c, idx, o);
     for (SetId target = 0; target < c.num_sets(); ++target) {
       SimulatedOracle oracle(&c, target, 0.0, 0.0, 1);
@@ -1114,7 +1068,7 @@ void CheckRestartResume(size_t shards_before, size_t shards_after) {
     sopt.dir = dir;
     SessionStore store(sopt);
     ASSERT_TRUE(store.Open(c.Fingerprint()).ok());
-    SessionManagerOptions o = make_options(shards_before);
+    SessionManagerOptions o = make_options();
     o.session_store = &store;
     SessionManager manager(c, idx, o);
     for (SetId target = 0; target < c.num_sets(); ++target) {
@@ -1138,7 +1092,7 @@ void CheckRestartResume(size_t shards_before, size_t shards_after) {
   SessionStore store(sopt);
   ASSERT_TRUE(store.Open(c.Fingerprint()).ok());
   EXPECT_EQ(store.size(), handles.size());
-  SessionManagerOptions o = make_options(shards_after);
+  SessionManagerOptions o = make_options();
   o.session_store = &store;
   SessionManager manager(c, idx, o);
 
@@ -1172,12 +1126,6 @@ void CheckRestartResume(size_t shards_before, size_t shards_after) {
     }
   }
 }
-
-TEST(RestartResume, Unsharded) { CheckRestartResume(1, 1); }
-
-TEST(RestartResume, ShardedToUnsharded) { CheckRestartResume(4, 1); }
-
-TEST(RestartResume, UnshardedToSharded) { CheckRestartResume(1, 4); }
 
 TEST(RestartResume, CloseErasesTheRecord) {
   SetCollection c = MakePaperCollection();

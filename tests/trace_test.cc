@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/selectors.h"
-#include "core/sharded_selectors.h"
 #include "obs/trace.h"
 #include "service/session_manager.h"
 #include "test_util.h"
@@ -226,8 +225,8 @@ TEST(SessionTrace, RecordsEveryStepWithConsistentBookkeeping) {
 }
 
 // The acceptance invariant: a traced step's phase latencies decompose its
-// step latency. Phases form a hierarchy — cache-lookup/count/order/
-// shard-merge nest inside the selector's Select() (kSelect), and kSelect
+// step latency. Phases form a hierarchy — cache-lookup/count/order nest
+// inside the selector's Select() (kSelect), and kSelect
 // plus kEmit are disjoint spans inside the step — so nested sums never
 // exceed their parent span, and select+emit covers the bulk of the step.
 TEST(SessionTrace, PhaseLatenciesDecomposeStepLatency) {
@@ -253,8 +252,7 @@ TEST(SessionTrace, PhaseLatenciesDecomposeStepLatency) {
       const uint64_t inner =
           e.phase_ns[static_cast<size_t>(Phase::kCacheLookup)] +
           e.phase_ns[static_cast<size_t>(Phase::kCount)] +
-          e.phase_ns[static_cast<size_t>(Phase::kOrder)] +
-          e.phase_ns[static_cast<size_t>(Phase::kShardMerge)];
+          e.phase_ns[static_cast<size_t>(Phase::kOrder)];
       // Nested timers never exceed their enclosing span.
       EXPECT_LE(inner, select) << "step " << e.step;
       EXPECT_LE(select + emit, e.total_ns) << "step " << e.step;
@@ -297,33 +295,6 @@ TEST(SessionTrace, RingBoundsLiveSessionHistory) {
   // The ring keeps the most recent steps, oldest first.
   EXPECT_EQ(events[0].step, static_cast<uint32_t>(steps - 2));
   EXPECT_EQ(events[1].step, static_cast<uint32_t>(steps - 1));
-}
-
-TEST(SessionTrace, ShardedSessionsTraceShardMerge) {
-  SetCollection c = RandomCollection(/*seed=*/11, /*n=*/160, /*m=*/40, 0.3);
-  InvertedIndex idx(c);
-  SessionManagerOptions options;
-  options.num_shards = 4;
-  options.sharded_selector_factory = [] {
-    return std::make_unique<ShardedMostEvenSelector>();
-  };
-  options.num_threads = 4;
-  SessionManager manager(c, idx, options);
-
-  SessionView view = manager.Create({}, /*enable_trace=*/true);
-  SimulatedOracle oracle(&c, /*target=*/5);
-  view = manager.Drive(view, oracle);
-  ASSERT_EQ(view.state, SessionState::kFinished);
-
-  std::vector<obs::TraceEvent> events;
-  ASSERT_EQ(manager.GetTrace(view.id, &events), SessionStatus::kOk);
-  ASSERT_FALSE(events.empty());
-  for (const obs::TraceEvent& e : events) {
-    const uint64_t select = e.phase_ns[static_cast<size_t>(Phase::kSelect)];
-    EXPECT_LE(e.phase_ns[static_cast<size_t>(Phase::kShardMerge)], select);
-    EXPECT_LE(select + e.phase_ns[static_cast<size_t>(Phase::kEmit)],
-              e.total_ns);
-  }
 }
 
 }  // namespace

@@ -23,10 +23,6 @@
 // Options:
 //   --k N             lookahead depth for k-LP (default 2)
 //   --q N             beam width (k-LPLE); unlimited when omitted
-//   --shards K        partition the collection into K shards (range scheme);
-//                     --ask/--serve/--serve-stress run the sharded engine:
-//                     per-step counting fans out per shard and merges, with
-//                     transcripts identical to unsharded sessions
 //   --metric ad|h     optimize average (ad) or worst case (h); default ad
 //   --examples a,b,c  initial example entities (comma separated)
 //   --verify          confirm the discovered set; on "n", backtrack (§6)
@@ -246,7 +242,7 @@ int Usage() {
                "[--stats|--tree|--ask|--simulate LABEL|--serve-stress N|\n"
                "                    --serve PORT|--connect HOST:PORT]\n"
                "                   [--k N] [--q N] [--metric ad|h] "
-               "[--shards K] [--examples a,b,c] [--verify] [--threads N]\n"
+               "[--examples a,b,c] [--verify] [--threads N]\n"
                "                   [--cache] [--cache-capacity N] "
                "[--cache-skip-one-shot]\n"
                "                   [--no-delta] [--release-idle MS] "
@@ -353,7 +349,6 @@ int main(int argc, char** argv) {
   std::string bind_address = "127.0.0.1";
   int k = 2;
   int q = -1;
-  int shards = 1;
   int stress_sessions = 0;
   int stress_threads = 8;
   int serve_port = -1;
@@ -443,21 +438,17 @@ int main(int argc, char** argv) {
       fsync_wal = true;
     } else if (arg == "--k" && i + 1 < argc) {
       k = std::atoi(argv[++i]);
+      if (k < 1) return Usage();
     } else if (arg == "--q" && i + 1 < argc) {
       q = std::atoi(argv[++i]);
-    } else if (arg == "--shards" && i + 1 < argc) {
-      shards = std::atoi(argv[++i]);
-      if (shards < 1) return Usage();
-      if (shards > static_cast<int>(kMaxShards)) {
-        std::fprintf(stderr, "warning: --shards capped at %zu\n", kMaxShards);
-        shards = static_cast<int>(kMaxShards);
-      }
     } else if (arg == "--metric" && i + 1 < argc) {
       std::string m = argv[++i];
       metric = m == "h" ? CostMetric::kHeight : CostMetric::kAvgDepth;
     } else if (arg == "--examples" && i + 1 < argc) {
       examples_csv = argv[++i];
     } else {
+      std::fprintf(stderr, "error: unrecognized argument \"%s\"\n",
+                   arg.c_str());
       return Usage();
     }
   }
@@ -613,42 +604,25 @@ int main(int argc, char** argv) {
       std::vector<EntityId> initial = ParseExamples(collection, examples_csv);
       DiscoveryOptions options;
       options.verify_and_backtrack = verify;
-      // Both engines step through the type-erased DiscoveryEngine interface;
-      // --shards only changes how the candidate state is stored and counted,
-      // never which questions get asked.
-      std::unique_ptr<ShardedCollection> sharded;
-      std::unique_ptr<ShardedKlpSelector> sharded_selector;
-      std::unique_ptr<DiscoveryEngine> session;
-      if (shards > 1) {
-        sharded = std::make_unique<ShardedCollection>(
-            collection,
-            ShardingOptions{static_cast<size_t>(shards), ShardScheme::kRange});
-        sharded_selector =
-            std::make_unique<ShardedKlpSelector>(selector.options());
-        session = std::make_unique<ShardedDiscoverySession>(
-            *sharded, initial, *sharded_selector, options);
-      } else {
-        session = std::make_unique<DiscoverySession>(collection, index, initial,
-                                                     selector, options);
-      }
-      while (!session->done()) {
-        if (session->state() == SessionState::kAwaitingAnswer) {
-          EntityId e = session->NextQuestion();
-          session->SubmitAnswer(ReadAnswer(collection.EntityName(e)));
+      DiscoverySession session(collection, index, initial, selector, options);
+      while (!session.done()) {
+        if (session.state() == SessionState::kAwaitingAnswer) {
+          EntityId e = session.NextQuestion();
+          session.SubmitAnswer(ReadAnswer(collection.EntityName(e)));
         } else {  // kAwaitingVerify
           bool confirmed = false;
-          if (!ReadConfirm(collection, session->PendingVerify(), &confirmed)) {
+          if (!ReadConfirm(collection, session.PendingVerify(), &confirmed)) {
             // No input left to answer the backtracking questions a refutation
             // would trigger — end the conversation here, unconfirmed.
             std::cout << "\n";
-            PrintSession(collection, session->result());
+            PrintSession(collection, session.result());
             std::cout << "(input ended before confirmation)\n";
             return 1;
           }
-          session->Verify(confirmed);
+          session.Verify(confirmed);
         }
       }
-      DiscoveryResult result = session->TakeResult();
+      DiscoveryResult result = session.TakeResult();
       PrintSession(collection, result);
       if (verify && !result.confirmed) {
         // found() can be true here with a set the user just refuted
@@ -684,7 +658,6 @@ int main(int argc, char** argv) {
       SessionManagerOptions manager_options;
       manager_options.discovery.verify_and_backtrack = verify;
       manager_options.num_threads = static_cast<size_t>(stress_threads);
-      manager_options.num_shards = static_cast<size_t>(shards);
       // Hook the manager's probe (sessions active/created, manager queue
       // depth) into the process registry so --stats-json and --metrics-port
       // see the whole serving picture, not just the hot-path families.
@@ -693,13 +666,10 @@ int main(int argc, char** argv) {
         manager_options.release_scratch_after =
             std::chrono::milliseconds(release_idle_ms);
       }
-      // Capture by value: the factories are stored in the manager and
-      // invoked on every Create for its whole lifetime.
+      // Capture by value: the factory is stored in the manager and invoked
+      // on every Create for its whole lifetime.
       manager_options.selector_factory = [options] {
         return std::make_unique<KlpSelector>(options);
-      };
-      manager_options.sharded_selector_factory = [options] {
-        return std::make_unique<ShardedKlpSelector>(options);
       };
       std::unique_ptr<SelectionCache> cache = MakeCacheIfEnabled(
           use_cache, cache_capacity, cache_skip_one_shot, &manager_options);
@@ -737,7 +707,6 @@ int main(int argc, char** argv) {
       double seconds = timer.Seconds();
       hout << "served " << stress_sessions << " sessions on "
            << stress_threads << " threads"
-           << (shards > 1 ? Format(" (%d shards)", shards) : "")
            << " in " << Format("%.3f", seconds)
            << "s (" << Format("%.1f", stress_sessions / seconds)
            << " sessions/sec), " << failures << " failures\n";
@@ -766,7 +735,6 @@ int main(int argc, char** argv) {
       SessionManagerOptions manager_options;
       manager_options.discovery.verify_and_backtrack = verify;
       manager_options.num_threads = static_cast<size_t>(stress_threads);
-      manager_options.num_shards = static_cast<size_t>(shards);
       // Hook the manager's probe (sessions active/created, manager queue
       // depth) into the process registry so --stats-json and --metrics-port
       // see the whole serving picture, not just the hot-path families.
@@ -777,9 +745,6 @@ int main(int argc, char** argv) {
       }
       manager_options.selector_factory = [options] {
         return std::make_unique<KlpSelector>(options);
-      };
-      manager_options.sharded_selector_factory = [options] {
-        return std::make_unique<ShardedKlpSelector>(options);
       };
       std::unique_ptr<SelectionCache> cache = MakeCacheIfEnabled(
           use_cache, cache_capacity, cache_skip_one_shot, &manager_options);
@@ -873,7 +838,6 @@ int main(int argc, char** argv) {
       hout << "serving on " << server.options().bind_address << ":"
            << server.port() << " (" << selector.name() << ", "
            << stress_threads << " worker threads"
-           << (shards > 1 ? Format(", %d shards", shards) : "")
            << (verify ? ", verify" : "")
            << (use_cache ? ", cache" : "");
       if (max_queue > 0) hout << Format(", max-queue %d", max_queue);
