@@ -1,9 +1,11 @@
 #include "core/klp.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "collection/count_kernels.h"
 #include "collection/fingerprint.h"
+#include "core/weighted_klp.h"
 #include "obs/metrics.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -162,34 +164,250 @@ KlpOptions KlpOptions::MakeOptimal(CostMetric metric) {
   return o;
 }
 
-KlpSelector::KlpSelector(KlpOptions options) : options_(options) {
-  SETDISC_CHECK(options_.k >= 1);
-  delta_counter_.set_enabled(options_.enable_delta_counting);
-  // k-LP is the only selector that orders its candidates (line 11), so it is
-  // the only one that pays for keeping the retained list sorted across the
-  // chain — the 1-step selectors scan linearly and leave this off.
-  delta_counter_.set_retain_order(options_.sort_candidates);
-  const char* metric_tag =
-      options_.metric == CostMetric::kAvgDepth ? "AD" : "H";
-  if (options_.k >= INT32_MAX / 4) {
-    name_ = Format("Optimal(%s)", metric_tag);
-  } else if (!options_.enable_early_break && !options_.enable_upper_limits &&
-             !options_.enable_memoization) {
-    name_ = Format("Gain-%d(%s)", options_.k, metric_tag);
-  } else if (options_.variable_beam) {
-    name_ = Format("%d-LPLVE(q=%d,%s)", options_.k, options_.beam_width,
-                   metric_tag);
-  } else if (options_.beam_width > 0) {
-    name_ = Format("%d-LPLE(q=%d,%s)", options_.k, options_.beam_width,
-                   metric_tag);
-  } else {
-    name_ = Format("%d-LP(%s)", options_.k, metric_tag);
+namespace {
+
+/// Transposed view of one node for the duplicate-partition skip: for each
+/// candidate (by its index in the node's scan order), the positions in C
+/// of the sets containing it, plus an order-free hash of that position
+/// set. Two candidates split C identically iff their position sets are
+/// equal or complementary; the hash is XOR-based so a complement's hash is
+/// the all-positions hash XOR the candidate's, and the smaller of the two
+/// is the split's key.
+class PartitionIndex {
+ public:
+  /// Builds the index for `sub` over `candidates` (anything with `entity`
+  /// and `count`), borrowing `counter`'s all-zero dense array as the
+  /// entity -> candidate map.
+  template <class Candidate>
+  void Build(const SubCollection& sub,
+             const std::vector<Candidate>& candidates, EntityCounter* counter);
+  /// True when candidate i splits C like an earlier examined candidate —
+  /// with the same containing half, or with the halves swapped when
+  /// `swapped_too` — otherwise records i as examined.
+  bool SeenSplit(size_t i, bool swapped_too);
+  /// Records candidate i as examined without checking it.
+  void Insert(size_t i);
+  /// Partition of `sub` on candidate i, read off the index.
+  std::pair<SubCollection, SubCollection> Cut(const SubCollection& sub,
+                                              size_t i) const;
+
+ private:
+  bool SameSplit(size_t i, size_t j, bool swapped_too) const;
+
+  std::vector<uint32_t> offsets_;    ///< candidate i: [offsets_[i], offsets_[i+1])
+  std::vector<uint32_t> positions_;  ///< ascending positions per candidate
+  std::vector<uint64_t> keys_;       ///< split key per candidate
+  /// Open-addressing table of examined splits: key and candidate index
+  /// (0 = empty; stored keys are forced nonzero).
+  std::vector<uint64_t> table_keys_;
+  std::vector<uint32_t> table_slots_;
+  uint32_t n_ = 0;  ///< |C| of the indexed node
+};
+
+template <class Candidate>
+void PartitionIndex::Build(const SubCollection& sub,
+                           const std::vector<Candidate>& candidates,
+                           EntityCounter* counter) {
+  const size_t m = candidates.size();
+  n_ = static_cast<uint32_t>(sub.size());
+  offsets_.resize(m + 1);
+  offsets_[0] = 0;
+  for (size_t i = 0; i < m; ++i) {
+    offsets_[i + 1] = offsets_[i] + candidates[i].count;
   }
+  positions_.resize(offsets_[m]);
+  keys_.assign(m, 0);
+  // The counter's dense array is all-zero between counts: borrow it as the
+  // entity -> (candidate index + 1) map instead of keeping a universe-sized
+  // array per level, and use positions' own offsets as fill cursors.
+  const SetCollection& c = sub.collection();
+  const std::span<uint32_t> slot = counter->BorrowZeroed(c.universe_size());
+  for (size_t i = 0; i < m; ++i) {
+    slot[candidates[i].entity] = static_cast<uint32_t>(i + 1);
+  }
+  const std::span<const SetId> ids = sub.ids();
+  for (uint32_t p = 0; p < n_; ++p) {
+    const uint64_t bit = FingerprintBit(p);
+    for (const EntityId e : c.set(ids[p])) {
+      const uint32_t j = slot[e];
+      if (j == 0) continue;
+      positions_[offsets_[j - 1]++] = p;
+      keys_[j - 1] ^= bit;
+    }
+  }
+  // Each start was used as its candidate's fill cursor and now holds that
+  // candidate's end, which is the next one's start: shift them back.
+  for (size_t i = m; i > 0; --i) offsets_[i] = offsets_[i - 1];
+  offsets_[0] = 0;
+  uint64_t all = 0;
+  for (uint32_t p = 0; p < n_; ++p) all ^= FingerprintBit(p);
+  for (size_t i = 0; i < m; ++i) {
+    slot[candidates[i].entity] = 0;
+    const uint64_t key = std::min(keys_[i], keys_[i] ^ all);
+    keys_[i] = key == 0 ? 1 : key;
+  }
+  size_t cap = 16;
+  while (cap < 2 * m) cap <<= 1;
+  table_keys_.assign(cap, 0);
+  table_slots_.resize(cap);
 }
 
-KlpSelector::~KlpSelector() = default;
+bool PartitionIndex::SameSplit(size_t i, size_t j, bool swapped_too) const {
+  const uint32_t* a = positions_.data() + offsets_[i];
+  const uint32_t* a_end = positions_.data() + offsets_[i + 1];
+  const uint32_t* b = positions_.data() + offsets_[j];
+  const uint32_t* b_end = positions_.data() + offsets_[j + 1];
+  const size_t size_a = a_end - a, size_b = b_end - b;
+  if (size_a == size_b && std::equal(a, a_end, b)) return true;
+  if (!swapped_too || size_a + size_b != n_) return false;
+  // Complementary halves: sizes add up to |C|, so disjoint means exact.
+  while (a != a_end && b != b_end) {
+    if (*a == *b) return false;
+    if (*a < *b) {
+      ++a;
+    } else {
+      ++b;
+    }
+  }
+  return true;
+}
 
-size_t KlpSelector::MemoKeyHash::operator()(const MemoKey& key) const {
+bool PartitionIndex::SeenSplit(size_t i, bool swapped_too) {
+  const size_t mask = table_keys_.size() - 1;
+  for (size_t h = keys_[i] & mask; table_keys_[h] != 0; h = (h + 1) & mask) {
+    if (table_keys_[h] == keys_[i] &&
+        SameSplit(i, table_slots_[h], swapped_too)) {
+      return true;
+    }
+  }
+  Insert(i);
+  return false;
+}
+
+void PartitionIndex::Insert(size_t i) {
+  const size_t mask = table_keys_.size() - 1;
+  size_t h = keys_[i] & mask;
+  while (table_keys_[h] != 0) h = (h + 1) & mask;
+  table_keys_[h] = keys_[i];
+  table_slots_[h] = static_cast<uint32_t>(i);
+}
+
+std::pair<SubCollection, SubCollection> PartitionIndex::Cut(
+    const SubCollection& sub, size_t i) const {
+  const std::span<const SetId> ids = sub.ids();
+  const uint32_t* pos = positions_.data() + offsets_[i];
+  const size_t c = offsets_[i + 1] - offsets_[i];
+  std::vector<SetId> in(c), out;
+  out.reserve(n_ - c);
+  uint32_t p = 0;
+  for (size_t t = 0; t < c; ++t) {
+    for (; p < pos[t]; ++p) out.push_back(ids[p]);
+    in[t] = ids[p++];
+  }
+  for (; p < n_; ++p) out.push_back(ids[p]);
+  return {SubCollection(&sub.collection(), std::move(in)),
+          SubCollection(&sub.collection(), std::move(out))};
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------- CountCost
+
+void CountCost::Sort(const Node& node,
+                     std::vector<EntityCount>* candidates) const {
+  const uint64_t n = node.n;
+  std::sort(candidates->begin(), candidates->end(),
+            [n](const EntityCount& a, const EntityCount& b) {
+              uint64_t ia = Imbalance(a.count, n);
+              uint64_t ib = Imbalance(b.count, n);
+              if (ia != ib) return ia < ib;
+              return a.entity < b.entity;
+            });
+}
+
+KlpSelection CountCost::PickLeaf(const Node& node,
+                                 std::vector<EntityCount>* candidates,
+                                 Cost upper_limit, int beam) const {
+  (void)upper_limit, (void)beam;
+  // Ascending entity order in `candidates` makes ties deterministic.
+  const uint64_t n = node.n;
+  EntityId best_e = (*candidates)[0].entity;
+  uint64_t best_c = (*candidates)[0].count;
+  uint64_t best_imb = Imbalance(best_c, n);
+  for (const EntityCount& ec : *candidates) {
+    uint64_t imb = Imbalance(ec.count, n);
+    if (imb < best_imb) {
+      best_imb = imb;
+      best_e = ec.entity;
+      best_c = ec.count;
+    }
+  }
+  return {best_e, Lb1(metric_, best_c, n - best_c)};
+}
+
+KlpSelection CountCost::PickHintedLeaf(const SubCollection& sub,
+                                       const Node& node, Cost upper_limit,
+                                       const DeltaHint<EntityCount>& hint,
+                                       const EntityExclusion* excluded,
+                                       int beam, bool sorted) const {
+  (void)beam;
+  const uint64_t n = node.n;
+  if (!*hint.dense_valid) {
+    hint.counter->CountDense(*hint.small);
+    *hint.dense_valid = true;
+  }
+  LeafPick pick;
+  if (&sub == hint.small) {
+    pick = MostEvenSmallerHalf(hint.counter->touched(), hint.counter->dense(),
+                               n, excluded);
+  } else {
+    // Entries whose imbalance reaches the limit cannot answer below it, so
+    // the walk may stop there as well.
+    const uint64_t stop = upper_limit < kInfiniteCost
+                              ? ImbalanceReaching(metric_, upper_limit, n)
+                              : UINT64_MAX;
+    pick = MostEvenLargerHalf(*hint.parent_order, sorted,
+                              hint.counter->dense(), hint.small->size(), n,
+                              stop);
+  }
+  if (pick.entity == kNoEntity) return {kNoEntity, upper_limit};
+  const Cost bound = Lb1(metric_, pick.count, n - pick.count);
+  // What a memo hit with this bound answers: nothing below the limit.
+  if (upper_limit <= bound) return {kNoEntity, bound};
+  return {pick.entity, bound};
+}
+
+// ------------------------------------------------------------ LookaheadCore
+
+/// Reusable per-recursion-level scratch. Each level owns a counter so a
+/// node's dense smaller-half counts stay live while its children (which
+/// dense-count on their own level) derive from them.
+template <class Model>
+struct LookaheadCore<Model>::LevelScratch {
+  std::vector<EntityCount> counts;  ///< informative counts, ascending
+  std::vector<EntityCount> asc;     ///< ascending copy when sorted in place
+  std::vector<Candidate> weighed;   ///< the model's candidates, if separate
+  EntityCounter counter;            ///< smaller-half dense counts
+  PartitionIndex index;             ///< this level's node, built lazily
+};
+
+template <class Model>
+LookaheadCore<Model>::LookaheadCore(Model model, const KlpOptions& options)
+    : model_(std::move(model)), options_(options) {
+  delta_counter_.set_enabled(options_.enable_delta_counting);
+  // Only a model whose scan order is the count order can take it from the
+  // delta counter; keeping the retained list sorted across the chain is
+  // paid for only then — the 1-step selectors leave this off too.
+  delta_counter_.set_retain_order(Model::kOrderFromCounts &&
+                                  options_.sort_candidates);
+}
+
+template <class Model>
+LookaheadCore<Model>::~LookaheadCore() = default;
+
+template <class Model>
+size_t LookaheadCore<Model>::MemoKeyHash::operator()(
+    const MemoKey& key) const {
   uint64_t h = 1469598103934665603ULL;
   for (SetId s : key.ids) {
     h ^= s;
@@ -202,18 +420,16 @@ size_t KlpSelector::MemoKeyHash::operator()(const MemoKey& key) const {
   return static_cast<size_t>(h);
 }
 
-void KlpSelector::ClearCache() { cache_.clear(); }
-
-size_t KlpSelector::cache_size() const { return cache_.size(); }
-
-void KlpSelector::NotePartition(const SubCollection& parent, EntityId e,
-                                bool kept_contains, const SubCollection& kept,
-                                SubCollection dropped) {
+template <class Model>
+void LookaheadCore<Model>::NotePartition(const SubCollection& parent,
+                                         EntityId e, bool kept_contains,
+                                         const SubCollection& kept,
+                                         SubCollection dropped) {
   if (best_small_valid_ && e == best_small_entity_) {
-    // The partition entity is the candidate this selector just chose, and
-    // its lookahead counted the smaller half of exactly this split: the
-    // kept child's counts derive right now, making the next top-level
-    // count a free re-emit.
+    // The partition entity is the candidate this core just chose, and its
+    // lookahead counted the smaller half of exactly this split: the kept
+    // child's counts derive right now, making the next top-level count a
+    // free re-emit.
     delta_counter_.SeedChild(parent, kept, best_small_counts_,
                              /*half_is_kept=*/best_small_is_in_ ==
                                  kept_contains);
@@ -223,12 +439,14 @@ void KlpSelector::NotePartition(const SubCollection& parent, EntityId e,
   best_small_valid_ = false;
 }
 
-void KlpSelector::InvalidateCountState() {
+template <class Model>
+void LookaheadCore<Model>::InvalidateCountState() {
   delta_counter_.Invalidate();
   best_small_valid_ = false;
 }
 
-void KlpSelector::ReleaseMemory() {
+template <class Model>
+void LookaheadCore<Model>::ReleaseMemory() {
   delta_counter_.Release();
   counter_.Release();
   cache_.clear();
@@ -236,14 +454,11 @@ void KlpSelector::ReleaseMemory() {
   scratch_.clear();
   best_small_counts_ = {};
   best_small_valid_ = false;
+  model_.Release();
 }
 
-EntityId KlpSelector::Select(const SubCollection& sub,
-                             const EntityExclusion* excluded) {
-  return SelectWithBound(sub, kInfiniteCost, excluded).entity;
-}
-
-KlpSelection KlpSelector::SelectWithBound(const SubCollection& sub,
+template <class Model>
+KlpSelection LookaheadCore<Model>::Select(const SubCollection& sub, int k,
                                           Cost upper_limit,
                                           const EntityExclusion* excluded) {
   if (sub.size() < 2) return {kNoEntity, 0};
@@ -253,11 +468,8 @@ KlpSelection KlpSelector::SelectWithBound(const SubCollection& sub,
   // A fresh top-level search invalidates any winner snapshot from the last
   // one (it described the previous view's candidates).
   best_small_valid_ = false;
-  // effective_k() == options_.k at effort 0, so the undegraded path is
-  // byte-identical to pre-effort behavior (including memo keys).
-  KlpSelection result = SelectImpl(sub, effective_k(), upper_limit,
-                                   /*top=*/true, excluded, &node,
-                                   /*hint=*/nullptr);
+  KlpSelection result = SelectImpl(sub, k, upper_limit, /*top=*/true,
+                                   excluded, &node, /*hint=*/nullptr);
   stats_.totals.candidates += node.candidates;
   stats_.totals.fully_evaluated += node.fully_evaluated;
   stats_.totals.pruned_by_break += node.pruned_by_break;
@@ -271,140 +483,10 @@ KlpSelection KlpSelector::SelectWithBound(const SubCollection& sub,
   return result;
 }
 
-KlpSelection KlpSelector::SelectLeaf(const SubCollection& sub,
-                                     Cost upper_limit, const DeltaHint& hint,
-                                     const EntityExclusion* excluded) {
-  const uint64_t n = sub.size();
-  if (!*hint.dense_valid) {
-    hint.counter->CountDense(*hint.small);
-    *hint.dense_valid = true;
-  }
-  LeafPick pick;
-  if (&sub == hint.small) {
-    pick = MostEvenSmallerHalf(hint.counter->touched(), hint.counter->dense(),
-                               n, excluded);
-  } else {
-    // Entries whose imbalance reaches the limit cannot answer below it, so
-    // the walk may stop there as well.
-    const uint64_t stop = upper_limit < kInfiniteCost
-                              ? ImbalanceReaching(options_.metric,
-                                                  upper_limit, n)
-                              : UINT64_MAX;
-    pick = MostEvenLargerHalf(*hint.parent_order, options_.sort_candidates,
-                              hint.counter->dense(), hint.small->size(), n,
-                              stop);
-  }
-  if (pick.entity == kNoEntity) return {kNoEntity, upper_limit};
-  const Cost bound = Lb1(options_.metric, pick.count, n - pick.count);
-  // What a memo hit with this bound answers: nothing below the limit.
-  if (upper_limit <= bound) return {kNoEntity, bound};
-  return {pick.entity, bound};
-}
-
-void KlpSelector::PartitionIndex::Build(const SubCollection& sub,
-                                        const std::vector<EntityCount>& counts,
-                                        EntityCounter* counter) {
-  const size_t m = counts.size();
-  n = static_cast<uint32_t>(sub.size());
-  offsets.resize(m + 1);
-  offsets[0] = 0;
-  for (size_t i = 0; i < m; ++i) offsets[i + 1] = offsets[i] + counts[i].count;
-  positions.resize(offsets[m]);
-  keys.assign(m, 0);
-  // The counter's dense array is all-zero between counts: borrow it as the
-  // entity -> (candidate index + 1) map instead of keeping a universe-sized
-  // array per level, and use positions' own offsets as fill cursors.
-  const SetCollection& c = sub.collection();
-  const std::span<uint32_t> slot = counter->BorrowZeroed(c.universe_size());
-  for (size_t i = 0; i < m; ++i) {
-    slot[counts[i].entity] = static_cast<uint32_t>(i + 1);
-  }
-  const std::span<const SetId> ids = sub.ids();
-  for (uint32_t p = 0; p < n; ++p) {
-    const uint64_t bit = FingerprintBit(p);
-    for (const EntityId e : c.set(ids[p])) {
-      const uint32_t j = slot[e];
-      if (j == 0) continue;
-      positions[offsets[j - 1]++] = p;
-      keys[j - 1] ^= bit;
-    }
-  }
-  // Each start was used as its candidate's fill cursor and now holds that
-  // candidate's end, which is the next one's start: shift them back.
-  for (size_t i = m; i > 0; --i) offsets[i] = offsets[i - 1];
-  offsets[0] = 0;
-  uint64_t all = 0;
-  for (uint32_t p = 0; p < n; ++p) all ^= FingerprintBit(p);
-  for (size_t i = 0; i < m; ++i) {
-    slot[counts[i].entity] = 0;
-    const uint64_t key = std::min(keys[i], keys[i] ^ all);
-    keys[i] = key == 0 ? 1 : key;
-  }
-  size_t cap = 16;
-  while (cap < 2 * m) cap <<= 1;
-  table_keys.assign(cap, 0);
-  table_slots.resize(cap);
-}
-
-bool KlpSelector::PartitionIndex::SameSplit(size_t i, size_t j) const {
-  const uint32_t* a = positions.data() + offsets[i];
-  const uint32_t* a_end = positions.data() + offsets[i + 1];
-  const uint32_t* b = positions.data() + offsets[j];
-  const uint32_t* b_end = positions.data() + offsets[j + 1];
-  const size_t size_a = a_end - a, size_b = b_end - b;
-  if (size_a == size_b && std::equal(a, a_end, b)) return true;
-  if (size_a + size_b != n) return false;
-  // Complementary halves: sizes add up to |C|, so disjoint means exact.
-  while (a != a_end && b != b_end) {
-    if (*a == *b) return false;
-    if (*a < *b) {
-      ++a;
-    } else {
-      ++b;
-    }
-  }
-  return true;
-}
-
-bool KlpSelector::PartitionIndex::SeenSplit(size_t i) {
-  const size_t mask = table_keys.size() - 1;
-  for (size_t h = keys[i] & mask; table_keys[h] != 0; h = (h + 1) & mask) {
-    if (table_keys[h] == keys[i] && SameSplit(i, table_slots[h])) return true;
-  }
-  Insert(i);
-  return false;
-}
-
-void KlpSelector::PartitionIndex::Insert(size_t i) {
-  const size_t mask = table_keys.size() - 1;
-  size_t h = keys[i] & mask;
-  while (table_keys[h] != 0) h = (h + 1) & mask;
-  table_keys[h] = keys[i];
-  table_slots[h] = static_cast<uint32_t>(i);
-}
-
-std::pair<SubCollection, SubCollection> KlpSelector::PartitionIndex::Cut(
-    const SubCollection& sub, size_t i) const {
-  const std::span<const SetId> ids = sub.ids();
-  const uint32_t* pos = positions.data() + offsets[i];
-  const size_t c = offsets[i + 1] - offsets[i];
-  std::vector<SetId> in(c), out;
-  out.reserve(n - c);
-  uint32_t p = 0;
-  for (size_t t = 0; t < c; ++t) {
-    for (; p < pos[t]; ++p) out.push_back(ids[p]);
-    in[t] = ids[p++];
-  }
-  for (; p < n; ++p) out.push_back(ids[p]);
-  return {SubCollection(&sub.collection(), std::move(in)),
-          SubCollection(&sub.collection(), std::move(out))};
-}
-
-void KlpSelector::MaterializeFromHint(const SubCollection& sub,
-                                      const DeltaHint& hint,
-                                      const EntityExclusion* excluded,
-                                      std::vector<EntityCount>* counts) {
-  (void)excluded;  // parent_asc already carries the mask (fixed per Select)
+template <class Model>
+void LookaheadCore<Model>::MaterializeFromHint(
+    const SubCollection& sub, const Hint& hint,
+    std::vector<EntityCount>* counts) {
   const uint32_t n = static_cast<uint32_t>(sub.size());
   if (!*hint.dense_valid) {
     // One dense scan of the smaller half serves both children of the
@@ -432,11 +514,12 @@ void KlpSelector::MaterializeFromHint(const SubCollection& sub,
   counts->resize(w);
 }
 
-KlpSelection KlpSelector::SelectImpl(const SubCollection& sub, int k,
-                                     Cost upper_limit, bool top,
-                                     const EntityExclusion* excluded,
-                                     NodeStats* node_stats,
-                                     const DeltaHint* hint) {
+template <class Model>
+KlpSelection LookaheadCore<Model>::SelectImpl(const SubCollection& sub, int k,
+                                              Cost upper_limit, bool top,
+                                              const EntityExclusion* excluded,
+                                              NodeStats* node_stats,
+                                              const Hint* hint) {
   ++stats_.recursive_calls;
   const uint64_t n = sub.size();
   SETDISC_CHECK(n >= 2);
@@ -448,18 +531,20 @@ KlpSelection KlpSelector::SelectImpl(const SubCollection& sub, int k,
 
   // Fast reject (pruning): every k-step bound is >= LB_0(C), so if the limit
   // is already at or below LB_0 nothing can qualify.
-  if (options_.enable_upper_limits && upper_limit <= Lb0(options_.metric, n)) {
+  const typename Model::Node node = model_.MakeNode(sub);
+  if (options_.enable_upper_limits && upper_limit <= model_.Lb0(node)) {
     return {kNoEntity, upper_limit};
-  }
-
-  // The last lookahead level of a hinted child: one fused scan, no memo.
-  if (k <= 1 && hint != nullptr) {
-    return SelectLeaf(sub, upper_limit, *hint, excluded);
   }
 
   const int effective_beam =
       top ? options_.beam_width
           : (options_.variable_beam ? 1 : options_.beam_width);
+
+  // The last lookahead level of a hinted child: one fused scan, no memo.
+  if (k <= 1 && hint != nullptr) {
+    return model_.PickHintedLeaf(sub, node, upper_limit, *hint, excluded,
+                                 effective_beam, options_.sort_candidates);
+  }
 
   // Memo lookup (Algorithm 1, lines 1-6). Entries keyed on the exact id
   // vector, the (clamped) k, and the beam in force at this level.
@@ -493,7 +578,7 @@ KlpSelection KlpSelector::SelectImpl(const SubCollection& sub, int k,
   if (hint != nullptr) {
     // Lookahead child: derive from the parent node's counts (one scan of
     // the smaller half, shared with the sibling) instead of recounting.
-    MaterializeFromHint(sub, *hint, excluded, &counts);
+    MaterializeFromHint(sub, *hint, &counts);
   } else if (top) {
     // Session-facing root: chains across steps via NotePartition.
     delta_counter_.CountInformative(sub, &counts, excluded);
@@ -507,62 +592,57 @@ KlpSelection KlpSelector::SelectImpl(const SubCollection& sub, int k,
   }
   if (top && node_stats != nullptr) node_stats->candidates = counts.size();
 
-  // Base case (lines 7-10): the 1-step bound selects the most even
-  // partitioner; ascending entity order in `counts` makes ties deterministic.
+  // The model's per-candidate split sums (the count list itself for the
+  // count models).
+  std::vector<Candidate>& candidates =
+      model_.Weigh(sub, node, &counts, &level.weighed);
+
+  // Base case (lines 7-10): the model's 1-step pick.
   if (k <= 1) {
-    EntityId best_e = counts[0].entity;
-    uint64_t best_c = counts[0].count;
-    uint64_t best_imb = Imbalance(best_c, n);
-    for (const EntityCount& ec : counts) {
-      uint64_t imb = Imbalance(ec.count, n);
-      if (imb < best_imb) {
-        best_imb = imb;
-        best_e = ec.entity;
-        best_c = ec.count;
-      }
-    }
-    Cost bound = Lb1(options_.metric, best_c, n - best_c);
-    if (use_memo) cache_[key] = MemoEntry{best_e, bound};
     if (top && node_stats != nullptr) {
-      node_stats->fully_evaluated = counts.size();
+      node_stats->fully_evaluated = candidates.size();
     }
-    return {best_e, bound};
+    const KlpSelection r =
+        model_.PickLeaf(node, &candidates, upper_limit, effective_beam);
+    if (use_memo) cache_[key] = MemoEntry{r.entity, r.bound};
+    return r;
   }
 
-  // Keep an ascending copy before the sort below destroys entity order: the
-  // children's count derivation is a merge against this list.
+  // The children's count derivation is a merge against the node's
+  // ascending list; keep a copy when the sort below reorders it in place.
   const bool delta_children = options_.enable_delta_counting;
-  if (delta_children) level.asc.assign(counts.begin(), counts.end());
+  const std::vector<EntityCount>* asc = &counts;
+  if constexpr (std::is_same_v<Candidate, EntityCount>) {
+    if (delta_children) {
+      level.asc.assign(counts.begin(), counts.end());
+      asc = &level.asc;
+    }
+  }
 
-  // Line 11: most-even (equivalently, non-decreasing 1-step-bound) order.
+  // Line 11: the model's scan order (most even first).
   if (options_.sort_candidates) {
     // Only the top-level sort is charged to the order phase: recursion
     // nodes sort too, but timing each would put clock reads on every
     // lookahead node.
     obs::PhaseTimer order_timer(obs::Phase::kOrder, /*armed=*/top);
-    // Top level first asks the delta counter for the order: the retained
-    // list it just served `counts` from stays (count, entity)-sorted across
-    // the chain (repaired per step, not re-sorted), and its wing merge
-    // emits this exact comparator's output in O(m). Falls back to the sort
-    // whenever the chain cannot serve (delta counting off, chain broken) —
-    // byte-identical either way, pinned by the ordering parity tests.
-    const bool served =
-        top && delta_children &&
-        delta_counter_.EmitMostEvenOrder(sub.Fingerprint(),
-                                         static_cast<uint32_t>(n), excluded,
-                                         &counts);
-    if (!served) {
-      std::sort(counts.begin(), counts.end(),
-                [n](const EntityCount& a, const EntityCount& b) {
-                  uint64_t ia = Imbalance(a.count, n);
-                  uint64_t ib = Imbalance(b.count, n);
-                  if (ia != ib) return ia < ib;
-                  return a.entity < b.entity;
-                });
+    bool served = false;
+    if constexpr (Model::kOrderFromCounts) {
+      // Top level first asks the delta counter for the order: the retained
+      // list it just served `counts` from stays (count, entity)-sorted
+      // across the chain (repaired per step, not re-sorted), and its wing
+      // merge emits this exact comparator's output in O(m). Falls back to
+      // the sort whenever the chain cannot serve (delta counting off, chain
+      // broken) — byte-identical either way, pinned by the ordering parity
+      // tests.
+      served = top && delta_children &&
+               delta_counter_.EmitMostEvenOrder(sub.Fingerprint(),
+                                                static_cast<uint32_t>(n),
+                                                excluded, &candidates);
     }
+    if (!served) model_.Sort(node, &candidates);
   }
 
-  size_t limit = counts.size();
+  size_t limit = candidates.size();
   if (effective_beam > 0 && static_cast<size_t>(effective_beam) < limit) {
     if (top && node_stats != nullptr) {
       node_stats->excluded_by_beam = limit - effective_beam;
@@ -577,7 +657,8 @@ KlpSelection KlpSelector::SelectImpl(const SubCollection& sub, int k,
   // serves the partitions) costs about one pass over C's incidences, so it
   // is built ski-rental style: once the per-candidate partitions done so
   // far have cost as much. Steps that break after a candidate or two never
-  // pay for it.
+  // pay for it. A split with its halves swapped counts as a repeat only
+  // for a model whose bounds do not depend on which half is which.
   PartitionIndex& index = level.index;
   bool indexed = false;
   uint64_t partitioned_sets = 0;
@@ -589,14 +670,13 @@ KlpSelection KlpSelector::SelectImpl(const SubCollection& sub, int k,
   }
 
   for (size_t i = 0; i < limit; ++i) {
-    const EntityId e = counts[i].entity;
-    const uint64_t c1 = counts[i].count;
-    const uint64_t c2 = n - c1;
+    const EntityId e = candidates[i].entity;
+    const typename Model::Split split = model_.SplitOf(node, candidates[i]);
 
     // Line 14: prune by the 1-step bound (Lemma 4.4 with l = 1).
     if (options_.enable_early_break &&
-        Lb1(options_.metric, c1, c2) >= best) {
-      if (options_.sort_candidates) {
+        model_.Combine(node, split.lb0_in, split.lb0_out) >= best) {
+      if (Model::kMonotoneLb1 && options_.sort_candidates) {
         // Sorted order: every remaining candidate is at least as bad.
         if (top && node_stats != nullptr) {
           node_stats->pruned_by_break += limit - i;
@@ -608,12 +688,12 @@ KlpSelection KlpSelector::SelectImpl(const SubCollection& sub, int k,
     }
 
     if (!indexed && partitioned_sets >= index_cost) {
-      index.Build(sub, counts, &level.counter);
+      index.Build(sub, candidates, &level.counter);
       indexed = true;
       // Splits examined before the index existed still count as seen.
       for (size_t j = 0; j < i; ++j) index.Insert(j);
     }
-    if (indexed && index.SeenSplit(i)) {
+    if (indexed && index.SeenSplit(i, Model::kSwappedHalvesAlike)) {
       if (top && node_stats != nullptr) ++node_stats->pruned_by_duplicate;
       continue;
     }
@@ -623,32 +703,38 @@ KlpSelection KlpSelector::SelectImpl(const SubCollection& sub, int k,
     // Differential counting for the recursion: both children's counts come
     // from one (lazy) dense scan of the smaller half plus derivation from
     // this node's lists. A deeper child materializes only after its memo
-    // lookup misses, so memo hits still skip counting; a leaf reads the
-    // scan directly (SelectLeaf).
+    // lookup misses, so memo hits still skip counting; a leaf is the
+    // model's fused pick.
     bool dense_valid = false;
-    const DeltaHint child_hint{&level.asc, &counts,
-                               c_in.size() <= c_out.size() ? &c_in : &c_out,
-                               &level.counter, &dense_valid};
-    const DeltaHint* hint_ptr = delta_children ? &child_hint : nullptr;
+    const Hint child_hint{asc, &candidates,
+                          c_in.size() <= c_out.size() ? &c_in : &c_out,
+                          &level.counter, &dense_valid};
+    const Hint* hint_ptr = delta_children ? &child_hint : nullptr;
 
-    // Lines 18-25: (k-1)-step bound of C+ under its derived upper limit.
+    // Lines 18-25: (k-1)-step bound of C+ under its derived upper limit. A
+    // child with no entity below its limit drops the candidate — or, for a
+    // model that falls back to LB_0 while upper limits are off, stands at
+    // its LB_0.
     Cost l_in;
     if (c_in.size() <= 1) {
       l_in = 0;
     } else {
       Cost ul_in = options_.enable_upper_limits
-                       ? UpperLimitFirst(options_.metric, best, n,
-                                         Lb0(options_.metric, c_out.size()))
+                       ? model_.UpperLimitFirst(node, best, split.lb0_out)
                        : kInfiniteCost;
       ++depth_;
       KlpSelection r = SelectImpl(c_in, k - 1, ul_in, /*top=*/false, excluded,
                                   nullptr, hint_ptr);
       --depth_;
-      if (r.entity == kNoEntity) {
+      if (r.entity != kNoEntity) {
+        l_in = r.bound;
+      } else if (Model::kNoEntityFallsBackToLb0 &&
+                 !options_.enable_upper_limits) {
+        l_in = split.lb0_in;
+      } else {
         if (top && node_stats != nullptr) ++node_stats->pruned_by_child;
         continue;
       }
-      l_in = r.bound;
     }
 
     // Lines 26-32: C- under the tighter limit now that l_in is known.
@@ -657,48 +743,54 @@ KlpSelection KlpSelector::SelectImpl(const SubCollection& sub, int k,
       l_out = 0;
     } else {
       Cost ul_out = options_.enable_upper_limits
-                        ? UpperLimitSecond(options_.metric, best, n, l_in)
+                        ? model_.UpperLimitSecond(node, best, l_in)
                         : kInfiniteCost;
       ++depth_;
       KlpSelection r = SelectImpl(c_out, k - 1, ul_out, /*top=*/false,
                                   excluded, nullptr, hint_ptr);
       --depth_;
-      if (r.entity == kNoEntity) {
+      if (r.entity != kNoEntity) {
+        l_out = r.bound;
+      } else if (Model::kNoEntityFallsBackToLb0 &&
+                 !options_.enable_upper_limits) {
+        l_out = split.lb0_out;
+      } else {
         if (top && node_stats != nullptr) ++node_stats->pruned_by_child;
         continue;
       }
-      l_out = r.bound;
     }
 
     // Lines 33-36: keep the strict minimum; ties resolve to the earlier
     // (more even) candidate by construction.
-    Cost l = Combine(options_.metric, l_in, l_out, n);
+    Cost l = model_.Combine(node, l_in, l_out);
     ++stats_.entities_evaluated_deep;
     if (top && node_stats != nullptr) ++node_stats->fully_evaluated;
     if (l < best) {
       best = l;
       best_entity = e;
-      if (top) {
+      if (top && delta_children) {
         // Snapshot the winning candidate's smaller-half counts (restricted
         // to this node's list, the shape SeedChild wants): if the session
         // partitions on this entity — it returns as the selection —
         // NotePartition seeds the child's counts from them and the next
         // top-level count is free. Overwritten whenever a later candidate
         // takes the lead; ~one pass per step in the sorted-candidates
-        // regime, where the leader rarely changes.
-        if (delta_children && dense_valid) {
-          const std::span<const uint32_t> dense = level.counter.dense();
-          best_small_counts_.resize(level.asc.size());
-          const size_t w = kernels::GatherChild(
-              level.asc.data(), level.asc.size(), dense.data(), dense.size(),
-              /*n=*/0, /*drop_full=*/false, best_small_counts_.data());
-          best_small_counts_.resize(w);
-          best_small_entity_ = e;
-          best_small_is_in_ = child_hint.small == &c_in;
-          best_small_valid_ = true;
-        } else {
-          best_small_valid_ = false;
+        // regime, where the leader rarely changes. A leader whose children
+        // never read the dense scan (memo hits, singleton halves, the
+        // weighted leaves) pays for it here.
+        if (!dense_valid) {
+          level.counter.CountDense(*child_hint.small);
+          dense_valid = true;
         }
+        const std::span<const uint32_t> dense = level.counter.dense();
+        best_small_counts_.resize(asc->size());
+        const size_t w = kernels::GatherChild(
+            asc->data(), asc->size(), dense.data(), dense.size(),
+            /*n=*/0, /*drop_full=*/false, best_small_counts_.data());
+        best_small_counts_.resize(w);
+        best_small_entity_ = e;
+        best_small_is_in_ = child_hint.small == &c_in;
+        best_small_valid_ = true;
       }
     }
   }
@@ -707,6 +799,47 @@ KlpSelection KlpSelector::SelectImpl(const SubCollection& sub, int k,
   // "no candidate achieves a bound below `best`".
   if (use_memo) cache_[key] = MemoEntry{best_entity, best};
   return {best_entity, best};
+}
+
+template class LookaheadCore<CountCost>;
+template class LookaheadCore<WeightedCost>;
+
+// -------------------------------------------------------------- KlpSelector
+
+KlpSelector::KlpSelector(KlpOptions options)
+    : options_(options), core_(CountCost(options.metric), options) {
+  SETDISC_CHECK(options_.k >= 1);
+  const char* metric_tag =
+      options_.metric == CostMetric::kAvgDepth ? "AD" : "H";
+  if (options_.k >= INT32_MAX / 4) {
+    name_ = Format("Optimal(%s)", metric_tag);
+  } else if (!options_.enable_early_break && !options_.enable_upper_limits &&
+             !options_.enable_memoization) {
+    name_ = Format("Gain-%d(%s)", options_.k, metric_tag);
+  } else if (options_.variable_beam) {
+    name_ = Format("%d-LPLVE(q=%d,%s)", options_.k, options_.beam_width,
+                   metric_tag);
+  } else if (options_.beam_width > 0) {
+    name_ = Format("%d-LPLE(q=%d,%s)", options_.k, options_.beam_width,
+                   metric_tag);
+  } else {
+    name_ = Format("%d-LP(%s)", options_.k, metric_tag);
+  }
+}
+
+KlpSelector::~KlpSelector() = default;
+
+EntityId KlpSelector::Select(const SubCollection& sub,
+                             const EntityExclusion* excluded) {
+  return SelectWithBound(sub, kInfiniteCost, excluded).entity;
+}
+
+KlpSelection KlpSelector::SelectWithBound(const SubCollection& sub,
+                                          Cost upper_limit,
+                                          const EntityExclusion* excluded) {
+  // effective_k() == options_.k at effort 0, so the undegraded path is
+  // byte-identical to pre-effort behavior (including memo keys).
+  return core_.Select(sub, effective_k(), upper_limit, excluded);
 }
 
 }  // namespace setdisc

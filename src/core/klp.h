@@ -16,14 +16,32 @@
 ///    the partition level, so it rides on enable_memoization)
 ///  * beam limits q (k-LPLE) / variable beam (k-LPLVE)
 ///
+/// One recursion, three cost models. LookaheadCore<Model>::SelectImpl is
+/// the only Algorithm 1 recursion in the tree; a cost model supplies what
+/// really differs between metrics — node totals and per-candidate split
+/// sums, LB_0 / LB_1 / Combine and the two child upper limits, the
+/// candidate order and whether LB_1 is monotone in it, the leaf pick, and
+/// what a child that returns no entity means. CountCost covers AD and H
+/// (cost.h, counts only); WeightedCost (weighted_klp.h) covers the §7 prior
+/// (quantized mass plus the Shannon floor). Everything else is shared: the
+/// memo, the beam, the duplicate-partition skip, DeltaHint child
+/// derivation, the top-level DeltaCounter and lookahead-reuse seeding. The
+/// model is a template parameter, so the count models' hot loops carry no
+/// per-candidate indirect call.
+///
 /// The last lookahead level (a k = 1 child reached through a DeltaHint) is
-/// one fused scan: the most-even entity of the child is found straight from
-/// the smaller half's dense counts and the parent's most-even list, with no
-/// child list, no sort, and no memo entry — leaves bypass the memo, since
-/// the scan costs less than copying and hashing the child's id vector.
+/// one fused scan with no memo entry — leaves bypass the memo, since the
+/// scan costs less than copying and hashing the child's id vector. For the
+/// count models the most-even entity of the child is found straight from
+/// the smaller half's dense counts and the parent's most-even list; the
+/// weighted model sums the child's own sets once.
 ///
 /// Cost bookkeeping is exact-integer (see cost.h), which Lemma 4.4's safety
-/// argument requires.
+/// argument requires. Integer sums (counts, quantized mass) may be derived
+/// by subtraction anywhere. The weighted model's Σ qw·log2(qw) is a double
+/// that feeds floor(), so it is the one quantity never derived across
+/// nodes: every node accumulates it directly over its own sets in ascending
+/// set-id order, or a bound could move by one at an integer boundary.
 
 #include <memory>
 #include <span>
@@ -128,6 +146,200 @@ LeafPick MostEvenLargerHalf(std::span<const EntityCount> parent,
                             uint64_t small_n, uint64_t n,
                             uint64_t stop_imbalance);
 
+/// What a lookahead child needs to derive its counts from its parent
+/// node's instead of recounting (Algorithm 1's recursion counts BOTH halves
+/// of every candidate partition — this collapses that to one dense scan of
+/// the smaller half per candidate, shared by the two children, with no sort
+/// and no list emission). Built per candidate in the parent's loop;
+/// materialized lazily so a child that memo-hits never triggers the scan.
+template <class Candidate>
+struct DeltaHint {
+  /// The parent node's candidate counts in ascending entity order (before
+  /// the sort) — informative for the parent, exclusion-filtered.
+  const std::vector<EntityCount>* parent_asc;
+  /// The parent's candidates in its scan order (most-even first when
+  /// sort_candidates is on), which a count model's larger-half leaf walks
+  /// so it can stop early.
+  const std::vector<Candidate>* parent_order;
+  /// The smaller partition half by set count (ties: the containing half).
+  const SubCollection* small;
+  /// The parent level's counter; lazily holds CountDense(*small), which
+  /// both children read by O(1) dense lookup while walking parent_asc.
+  EntityCounter* counter;
+  bool* dense_valid;
+};
+
+/// The AD and H cost models: every bound is a function of set counts alone
+/// (cost.h). Candidates are the count list itself, ordered by imbalance, in
+/// which LB_1 is monotone — so the sorted early break ends the loop.
+class CountCost {
+ public:
+  using Candidate = EntityCount;
+  struct Node {
+    uint64_t n;
+  };
+  /// LB_0 of the two halves of one candidate's split.
+  struct Split {
+    Cost lb0_in;
+    Cost lb0_out;
+  };
+  /// LB_1 is non-decreasing along the scan order: the early break may end
+  /// the loop instead of skipping one candidate.
+  static constexpr bool kMonotoneLb1 = true;
+  /// A child that returns no entity drops the candidate (see WeightedCost).
+  static constexpr bool kNoEntityFallsBackToLb0 = false;
+  /// The top-level DeltaCounter can serve the scan order (its retained
+  /// (count, entity) list), so no sort is needed on the session path.
+  static constexpr bool kOrderFromCounts = true;
+  /// Every bound is symmetric in the two halves, so the duplicate-partition
+  /// skip may also match a split whose halves are swapped.
+  static constexpr bool kSwappedHalvesAlike = true;
+
+  explicit CountCost(CostMetric metric) : metric_(metric) {}
+  CostMetric metric() const { return metric_; }
+
+  Node MakeNode(const SubCollection& sub) const { return {sub.size()}; }
+  Cost Lb0(const Node& node) const { return setdisc::Lb0(metric_, node.n); }
+  /// The candidate list is the count list.
+  std::vector<EntityCount>& Weigh(const SubCollection& sub, const Node& node,
+                                  std::vector<EntityCount>* counts,
+                                  std::vector<EntityCount>* scratch) {
+    (void)sub, (void)node, (void)scratch;
+    return *counts;
+  }
+  void Sort(const Node& node, std::vector<EntityCount>* candidates) const;
+  Split SplitOf(const Node& node, const EntityCount& c) const {
+    return {setdisc::Lb0(metric_, c.count),
+            setdisc::Lb0(metric_, node.n - c.count)};
+  }
+  Cost Combine(const Node& node, Cost left, Cost right) const {
+    return setdisc::Combine(metric_, left, right, node.n);
+  }
+  Cost UpperLimitFirst(const Node& node, Cost best, Cost other_lb0) const {
+    return setdisc::UpperLimitFirst(metric_, best, node.n, other_lb0);
+  }
+  Cost UpperLimitSecond(const Node& node, Cost best, Cost first) const {
+    return setdisc::UpperLimitSecond(metric_, best, node.n, first);
+  }
+  /// k = 1 base case over an ascending candidate list: the most even
+  /// partitioner (ties: lowest id) and its 1-step bound. The beam and the
+  /// limit do not apply (the caller compares the bound).
+  KlpSelection PickLeaf(const Node& node, std::vector<EntityCount>* candidates,
+                        Cost upper_limit, int beam) const;
+  /// The k = 1 base case of a hinted child in one scan: the child's
+  /// most-even informative entity (ties: lowest id) and its 1-step bound,
+  /// or kNoEntity when that bound does not go below `upper_limit`.
+  KlpSelection PickHintedLeaf(const SubCollection& sub, const Node& node,
+                              Cost upper_limit,
+                              const DeltaHint<EntityCount>& hint,
+                              const EntityExclusion* excluded, int beam,
+                              bool sorted) const;
+  void Release() {}
+
+ private:
+  CostMetric metric_;
+};
+
+/// Algorithm 1 over a cost model (see the file comment): the recursion and
+/// all of its shared state — memo, per-level scratch, the top-level
+/// DeltaCounter and the lookahead-reuse snapshot. Instantiated in klp.cc
+/// for CountCost and WeightedCost.
+template <class Model>
+class LookaheadCore {
+ public:
+  using Candidate = typename Model::Candidate;
+
+  /// Uses every KlpOptions field but `k` (passed per Select) and `metric`
+  /// (the model's business).
+  LookaheadCore(Model model, const KlpOptions& options);
+  ~LookaheadCore();
+
+  /// Top-level Algorithm 1 call: selection plus its k-step bound under a
+  /// caller-supplied upper limit, with the node's pruning telemetry
+  /// published (KlpStats, setdisc_klp_* counters, the step's lookahead
+  /// note).
+  KlpSelection Select(const SubCollection& sub, int k, Cost upper_limit,
+                      const EntityExclusion* excluded);
+
+  /// Differential-counting hooks: the top-level counting pass of each
+  /// Select() chains across session steps through delta_counter_ — and when
+  /// the answered entity is the one this core just chose, its lookahead
+  /// already counted the smaller half of that split, so the next step's top
+  /// counts are seeded outright (SeedChild) and that count becomes a free
+  /// re-emit. Memo hits skip the chain, and the fingerprint check falls
+  /// back to a full count whenever it broke.
+  void NotePartition(const SubCollection& parent, EntityId e,
+                     bool kept_contains, const SubCollection& kept,
+                     SubCollection dropped);
+  void InvalidateCountState();
+  void ReleaseMemory();
+
+  /// Drops all memoized results (e.g. between unrelated collections).
+  void ClearCache() { cache_.clear(); }
+  size_t cache_size() const { return cache_.size(); }
+
+  const KlpStats& stats() const { return stats_; }
+  void ResetStats() { stats_.Reset(); }
+  const DeltaCounterStats& counting_stats() const {
+    return delta_counter_.stats();
+  }
+  const Model& model() const { return model_; }
+
+ private:
+  struct MemoKey {
+    std::vector<SetId> ids;
+    int32_t k;
+    int32_t beam;
+    bool operator==(const MemoKey&) const = default;
+  };
+  struct MemoKeyHash {
+    size_t operator()(const MemoKey& key) const;
+  };
+  struct MemoEntry {
+    EntityId entity;
+    Cost bound;
+  };
+  /// Per-recursion-level scratch (klp.cc).
+  struct LevelScratch;
+  using Hint = DeltaHint<Candidate>;
+
+  KlpSelection SelectImpl(const SubCollection& sub, int k, Cost upper_limit,
+                          bool top, const EntityExclusion* excluded,
+                          NodeStats* node_stats, const Hint* hint);
+
+  /// Fills `counts` with what CountInformative(sub, excluded) would emit,
+  /// using the hint: count the smaller half once (lazily), then either
+  /// filter it (we are the smaller half) or subtract it from the parent's
+  /// list (we are the larger).
+  static void MaterializeFromHint(const SubCollection& sub, const Hint& hint,
+                                  std::vector<EntityCount>* counts);
+
+  Model model_;
+  KlpOptions options_;
+  /// Counting for recursion nodes with no hint (differential counting off).
+  EntityCounter counter_;
+  /// Top-level cross-step counting state; recursion levels use the
+  /// DeltaHint scheme instead (their parent's counts are on the stack).
+  DeltaCounter delta_counter_;
+  KlpStats stats_;
+  std::unordered_map<MemoKey, MemoEntry, MemoKeyHash> cache_;
+  std::vector<std::unique_ptr<LevelScratch>> scratch_;
+  int depth_ = 0;
+
+  /// Lookahead reuse: the smaller-half counts (restricted to the top node's
+  /// candidate list) of the candidate currently winning the loop,
+  /// snapshotted each time `best` improves. If the session then partitions
+  /// on exactly that entity, NotePartition seeds the child's counts from it
+  /// — the dominant cross-step saving for k-LP, since the winning candidate
+  /// is precisely the one whose halves the lookahead counted.
+  std::vector<EntityCount> best_small_counts_;
+  EntityId best_small_entity_ = kNoEntity;
+  bool best_small_is_in_ = false;  ///< smaller half == containing half?
+  bool best_small_valid_ = false;
+};
+
+extern template class LookaheadCore<CountCost>;
+
 /// The k-LP selector family (Algorithm 1 wrapped in the Υ interface).
 class KlpSelector : public EntitySelector {
  public:
@@ -151,7 +363,7 @@ class KlpSelector : public EntitySelector {
   /// are worse questions, never wrong ones. Level 0 is byte-identical to a
   /// selector without the knob: the same k reaches SelectImpl and the
   /// fingerprint below is untouched. The memo cache needs no flush on
-  /// transition because k is part of MemoKey.
+  /// transition because k is part of the memo key.
   void SetEffort(int level) override { effort_ = level < 0 ? 0 : level; }
   int effort() const { return effort_; }
 
@@ -175,155 +387,33 @@ class KlpSelector : public EntitySelector {
     return fp;
   }
 
-  const KlpStats& stats() const { return stats_; }
-  void ResetStats() { stats_.Reset(); }
+  const KlpStats& stats() const { return core_.stats(); }
+  void ResetStats() { core_.ResetStats(); }
 
   /// Drops all memoized results (e.g. between unrelated collections).
-  void ClearCache();
-  size_t cache_size() const;
+  void ClearCache() { core_.ClearCache(); }
+  size_t cache_size() const { return core_.cache_size(); }
 
-  /// Differential-counting hooks: the top-level counting pass of each
-  /// Select() chains across session steps through delta_counter_ — and when
-  /// the answered entity is the one this selector just chose, its lookahead
-  /// already counted both partition halves, so the next step's top counts
-  /// are seeded outright (SeedChild) and that count becomes a free re-emit.
-  /// Memo hits skip the chain, and the fingerprint check falls back to a
-  /// full count whenever it broke.
+  /// Differential-counting hooks (LookaheadCore::NotePartition).
   void NotePartition(const SubCollection& parent, EntityId e,
                      bool kept_contains, const SubCollection& kept,
-                     SubCollection dropped) override;
-  void InvalidateCountState() override;
-  void ReleaseMemory() override;
+                     SubCollection dropped) override {
+    core_.NotePartition(parent, e, kept_contains, kept, std::move(dropped));
+  }
+  void InvalidateCountState() override { core_.InvalidateCountState(); }
+  void ReleaseMemory() override { core_.ReleaseMemory(); }
 
   /// Full/delta/re-emit breakdown of the top-level (cross-step) counting.
   const DeltaCounterStats& counting_stats() const {
-    return delta_counter_.stats();
+    return core_.counting_stats();
   }
 
  private:
-  struct MemoKey {
-    std::vector<SetId> ids;
-    int32_t k;
-    int32_t beam;
-    bool operator==(const MemoKey&) const = default;
-  };
-  struct MemoKeyHash {
-    size_t operator()(const MemoKey& key) const;
-  };
-  struct MemoEntry {
-    EntityId entity;
-    Cost bound;
-  };
-
-  /// Ingredients for deriving a lookahead child's counts from its parent
-  /// node's instead of recounting (Algorithm 1's recursion counts BOTH
-  /// halves of every candidate partition — this collapses that to one
-  /// dense scan of the smaller half per candidate, shared by the two
-  /// children, with no sort and no list emission). Built per candidate in
-  /// the parent's loop; materialized lazily so a child that memo-hits never
-  /// triggers the scan.
-  struct DeltaHint {
-    /// The parent node's candidate list in ascending entity order (the
-    /// pre-sort copy) — informative for the parent, exclusion-filtered.
-    const std::vector<EntityCount>* parent_asc;
-    /// The same list in the parent's scan order (most-even first when
-    /// sort_candidates is on), which a larger-half leaf walks so it can stop
-    /// early.
-    const std::vector<EntityCount>* parent_order;
-    /// The smaller partition half by set count (ties: the containing half).
-    const SubCollection* small;
-    /// The parent level's counter; lazily holds CountDense(*small), which
-    /// both children read by O(1) dense lookup while walking parent_asc.
-    EntityCounter* counter;
-    bool* dense_valid;
-  };
-
-  KlpSelection SelectImpl(const SubCollection& sub, int k, Cost upper_limit,
-                          bool top, const EntityExclusion* excluded,
-                          NodeStats* node_stats, const DeltaHint* hint);
-
-  /// The k = 1 base case of a hinted child in one scan: the child's
-  /// most-even informative entity (ties: lowest id) and its 1-step bound,
-  /// or kNoEntity when that bound does not go below `upper_limit`.
-  KlpSelection SelectLeaf(const SubCollection& sub, Cost upper_limit,
-                          const DeltaHint& hint,
-                          const EntityExclusion* excluded);
-
-  /// Fills `counts` with what CountInformative(sub, excluded) would emit,
-  /// using the hint: count the smaller half once (lazily), then either
-  /// filter it (we are the smaller half) or subtract it from the parent's
-  /// list (we are the larger).
-  void MaterializeFromHint(const SubCollection& sub, const DeltaHint& hint,
-                           const EntityExclusion* excluded,
-                           std::vector<EntityCount>* counts);
-
   KlpOptions options_;
   std::string name_;
   /// Current degradation level (0 = full effort); see SetEffort().
   int effort_ = 0;
-  EntityCounter counter_;
-  /// Top-level cross-step counting state; recursion levels use the
-  /// DeltaHint scheme instead (their parent's counts are on the stack).
-  DeltaCounter delta_counter_;
-  KlpStats stats_;
-  std::unordered_map<MemoKey, MemoEntry, MemoKeyHash> cache_;
-  /// Transposed view of one node for the duplicate-partition skip: for each
-  /// candidate (by its index in the node's scan order), the positions in C
-  /// of the sets containing it, plus an order-free hash of that position
-  /// set. Two candidates split C identically iff their position sets are
-  /// equal or complementary; the hash is XOR-based so a complement's hash is
-  /// the all-positions hash XOR the candidate's, and the smaller of the two
-  /// is the split's key.
-  struct PartitionIndex {
-    std::vector<uint32_t> offsets;    ///< candidate i: [offsets[i], offsets[i+1])
-    std::vector<uint32_t> positions;  ///< ascending positions per candidate
-    std::vector<uint64_t> keys;       ///< split key per candidate
-    /// Open-addressing table of examined splits: key and candidate index
-    /// (0 = empty; stored keys are forced nonzero).
-    std::vector<uint64_t> table_keys;
-    std::vector<uint32_t> table_slots;
-    uint32_t n = 0;  ///< |C| of the indexed node
-
-    /// Builds the index for `sub` over `counts`, borrowing `counter`'s
-    /// all-zero dense array as the entity -> candidate map.
-    void Build(const SubCollection& sub,
-               const std::vector<EntityCount>& counts,
-               EntityCounter* counter);
-    /// True when candidate i splits C like an earlier examined candidate;
-    /// otherwise records i as examined.
-    bool SeenSplit(size_t i);
-    /// Records candidate i as examined without checking it.
-    void Insert(size_t i);
-    /// Partition of `sub` on candidate i, read off the index.
-    std::pair<SubCollection, SubCollection> Cut(const SubCollection& sub,
-                                                size_t i) const;
-
-   private:
-    bool SameSplit(size_t i, size_t j) const;
-  };
-
-  /// Reusable per-recursion-level scratch. Each level owns a counter so a
-  /// node's dense smaller-half counts stay live while its children (which
-  /// dense-count on their own level) derive from them.
-  struct LevelScratch {
-    std::vector<EntityCount> counts;  ///< candidate list (sorted in place)
-    std::vector<EntityCount> asc;     ///< ascending copy for child hints
-    EntityCounter counter;            ///< smaller-half dense counts
-    PartitionIndex index;             ///< this level's node, built lazily
-  };
-  std::vector<std::unique_ptr<LevelScratch>> scratch_;
-  int depth_ = 0;
-
-  /// Lookahead reuse: the smaller-half counts (restricted to the top node's
-  /// candidate list) of the candidate currently winning the loop,
-  /// snapshotted each time `best` improves. If the session then partitions
-  /// on exactly that entity, NotePartition seeds the child's counts from it
-  /// — the dominant cross-step saving for k-LP, since the winning candidate
-  /// is precisely the one whose halves the lookahead counted.
-  std::vector<EntityCount> best_small_counts_;
-  EntityId best_small_entity_ = kNoEntity;
-  bool best_small_is_in_ = false;  ///< smaller half == containing half?
-  bool best_small_valid_ = false;
+  LookaheadCore<CountCost> core_;
 };
 
 }  // namespace setdisc

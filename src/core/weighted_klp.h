@@ -15,25 +15,31 @@
 /// Lower bound: Shannon's noiseless-coding bound — leaf depths form a
 /// prefix code, so E[depth] >= H(p) and
 ///
-///   LB0_w(C) = floor( Σ_s qw_s · log2(W(C)/qw_s) ).
+///   LB0_w(C) = floor( Σ_s qw_s · log2(W(C)/qw_s) )
+///            = floor( log2(W)·W − Σ_s qw_s·log2(qw_s) ).
 ///
 /// The §4.1 recurrences carry over verbatim in weighted units:
 ///   Combine_w(c1, c2, W) = c1 + c2 + W,  UL_w analogous to Eqs. 11-14.
-/// The entropy chain rule gives LB1_w(e) = W·H(C) − W·h2(W1/W) + W, a
-/// decreasing function of the *weighted* split evenness — so the sorted
-/// early break of Algorithm 1 remains sound with weighted-imbalance order.
+/// The entropy chain rule gives LB1_w(e) = W·H(C) − W·h2(W1/W) + W, which
+/// in real arithmetic decreases with the *weighted* split evenness; the
+/// search scans candidates most weight-even first, but flooring each half
+/// can reorder near-ties, so the line-14 check skips one candidate instead
+/// of ending the loop.
+///
+/// The search itself is klp.h's LookaheadCore — the one Algorithm 1
+/// recursion — run over WeightedCost below, so the weighted selector shares
+/// k-LP's memo, duplicate-partition skip, differential counting and
+/// pruning telemetry. What stays here is the cost model: the prior's
+/// quantized tables and the bound math over them. Its one precision rule:
+/// Σ qw·log2(qw) is a double that feeds floor(), so every node sums it over
+/// its own sets in ascending set-id order and never derives it from a
+/// parent's sums (integer mass may be subtracted freely).
 
-#include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
-#include "collection/delta_counter.h"
-#include "collection/entity_counter.h"
-#include "collection/sub_collection.h"
-#include "core/cost.h"
-#include "core/selector.h"
+#include "core/klp.h"
 #include "util/scratch_array.h"
 
 namespace setdisc {
@@ -48,8 +54,9 @@ struct WeightedKlpOptions {
 
   /// Serve the top-level counting pass differentially from the previous
   /// step's retained counts (collection/delta_counter.h) when the session
-  /// reports partitions via NotePartition. Decision-neutral — counts are
-  /// exact on every path.
+  /// reports partitions via NotePartition, and derive lookahead children's
+  /// counts from their parent's. Decision-neutral — counts are exact on
+  /// every path.
   bool enable_delta_counting = true;
 
   /// Quantization target: the largest weight maps to this many integer
@@ -64,6 +71,126 @@ struct WeightedSelection {
   EntityId entity = kNoEntity;
   Cost bound = kInfiniteCost;
 };
+
+/// The prior's cost model for LookaheadCore (klp.h). Every bound comes from
+/// three sums over a view's sets — count, quantized mass, and Σ qw·log2(qw)
+/// — so a candidate's 1-step bound costs O(1) once its split sums are known:
+/// both halves' sizes, weights and Shannon floors follow from the
+/// candidate's contained sums and the node's totals.
+class WeightedCost {
+ public:
+  struct Candidate {
+    EntityId entity;
+    uint32_t count;
+    Cost weight_in;  ///< quantized mass of the sets containing `entity`
+    double qlog_in;  ///< their Σ qw·log2(qw), in ascending set order
+  };
+  struct Node {
+    uint64_t n;
+    Cost weight;  ///< total quantized mass W
+    double qlog;  ///< Σ qw·log2(qw) over the node's sets
+  };
+  struct Split {
+    Cost lb0_in;
+    Cost lb0_out;
+  };
+  /// LB1_w is not monotone in the scan order: skip, don't break.
+  static constexpr bool kMonotoneLb1 = false;
+  /// A child with no entity while upper limits are off (only possible under
+  /// exclusions) stands at its Shannon floor; WeightedLbKReference's
+  /// exhaustive search relies on it.
+  static constexpr bool kNoEntityFallsBackToLb0 = true;
+  static constexpr bool kOrderFromCounts = false;
+  /// The out-half's Shannon floor is derived by subtracting a double, so a
+  /// split with its halves swapped can round across an integer where the
+  /// original did not: the duplicate-partition skip matches only a repeat
+  /// with the same containing half (identical sums, identical bounds).
+  static constexpr bool kSwappedHalvesAlike = false;
+
+  /// Quantizes `weights` (indexed by SetId; must outlive the model) so the
+  /// largest maps to `resolution` units and every set keeps at least one.
+  WeightedCost(const std::vector<double>* weights, uint64_t resolution);
+
+  /// Quantized weight of one set (>= 1; out-of-range ids weigh one unit).
+  Cost QuantizedWeight(SetId s) const {
+    return s < quantized_.size() ? quantized_[s] : 1;
+  }
+  /// Shannon floor from a view's sums: floor(log2(W)·W − Σ qw·log2(qw)).
+  static Cost Lb0FromSums(Cost total_weight, double qlog_sum);
+
+  /// The view's totals, summed over its ids in ascending order.
+  Node MakeNode(const SubCollection& sub) const;
+  Cost Lb0(const Node& node) const {
+    return Lb0FromSums(node.weight, node.qlog);
+  }
+  /// Fills `out` with the split sums of every entry of `counts` (one dense
+  /// pass over the view's sets) and returns it.
+  std::vector<Candidate>& Weigh(const SubCollection& sub, const Node& node,
+                                std::vector<EntityCount>* counts,
+                                std::vector<Candidate>* out);
+  /// Most weight-even first (ties: lowest id).
+  void Sort(const Node& node, std::vector<Candidate>* candidates) const;
+  Split SplitOf(const Node& node, const Candidate& c) const {
+    const uint64_t c2 = node.n - c.count;
+    return {c.count <= 1 ? 0 : Lb0FromSums(c.weight_in, c.qlog_in),
+            c2 <= 1 ? 0
+                    : Lb0FromSums(node.weight - c.weight_in,
+                                  node.qlog - c.qlog_in)};
+  }
+  Cost Combine(const Node& node, Cost left, Cost right) const {
+    return left + right + node.weight;
+  }
+  Cost UpperLimitFirst(const Node& node, Cost best, Cost other_lb0) const {
+    return best - node.weight - other_lb0;
+  }
+  Cost UpperLimitSecond(const Node& node, Cost best, Cost first) const {
+    return best - node.weight - first;
+  }
+  /// k = 1 base case: the lexicographic minimum of (1-step bound, weight
+  /// imbalance, entity) among the q most weight-even candidates (all when
+  /// beam <= 0) whose bound goes below `upper_limit`; kNoEntity with the
+  /// limit otherwise. Order-independent, so no sort is needed.
+  KlpSelection PickLeaf(const Node& node, std::vector<Candidate>* candidates,
+                        Cost upper_limit, int beam) const;
+  /// The same pick for a lookahead child, from one pass over its own sets
+  /// (which its Σ qw·log2(qw) needs anyway) instead of a counting pass plus
+  /// a weighing pass; the hint is not needed.
+  KlpSelection PickHintedLeaf(const SubCollection& sub, const Node& node,
+                              Cost upper_limit,
+                              const DeltaHint<Candidate>& hint,
+                              const EntityExclusion* excluded, int beam,
+                              bool sorted);
+  /// Frees the dense accumulators (the tables stay).
+  void Release();
+
+ private:
+  /// One dense pass over the view's sets: per touched entity, the count,
+  /// quantized mass and Σ qw·log2(qw) of the sets containing it, added in
+  /// ascending set order. Epoch-stamped so the array never needs clearing.
+  void Accumulate(const SubCollection& sub);
+
+  struct Sums {
+    uint32_t stamp;
+    uint32_t count;
+    Cost weight;
+    double qlog;
+  };
+
+  /// Per-set quantized weight and qw·log2(qw), fixed at construction (the
+  /// prior is immutable): the bound math never recomputes llround or log2
+  /// per call.
+  std::vector<Cost> quantized_;
+  std::vector<double> weight_log_;
+  /// Accumulate's dense per-entity sums. Calloc'd (util/scratch_array.h),
+  /// so the stamps start at zero and a fresh selector faults in only the
+  /// pages a pass writes.
+  ScratchArray<Sums> sums_;
+  uint32_t epoch_ = 0;
+  std::vector<EntityId> touched_;
+  std::vector<Candidate> leaf_;  ///< PickHintedLeaf's candidate list
+};
+
+extern template class LookaheadCore<WeightedCost>;
 
 /// Entity selection minimizing the k-step lower bound on expected questions
 /// under a set prior.
@@ -88,7 +215,9 @@ class WeightedKlpSelector : public EntitySelector {
   uint64_t DecisionFingerprint() const override;
 
   /// Quantized weight of one set (>= 1).
-  Cost QuantizedWeight(SetId s) const;
+  Cost QuantizedWeight(SetId s) const {
+    return core_.model().QuantizedWeight(s);
+  }
 
   /// Total quantized weight of a sub-collection.
   Cost TotalWeight(const SubCollection& sub) const;
@@ -96,97 +225,32 @@ class WeightedKlpSelector : public EntitySelector {
   /// Shannon lower bound LB0_w in weighted-total-depth units.
   Cost WeightedLb0(const SubCollection& sub) const;
 
-  /// Differential-counting hooks: the top-level counting pass (the only one
-  /// over the full candidate view, hence the dominant one) is served by a
-  /// DeltaCounter; the lookahead recursion's passes keep their own plain
-  /// counter, since they sweep sibling views that would break the chain.
+  /// Differential-counting hooks (LookaheadCore::NotePartition).
   void NotePartition(const SubCollection& parent, EntityId e,
                      bool kept_contains, const SubCollection& kept,
                      SubCollection dropped) override {
-    (void)e;
-    (void)kept_contains;
-    delta_counter_.NotePartition(parent, kept, std::move(dropped));
+    core_.NotePartition(parent, e, kept_contains, kept, std::move(dropped));
   }
-  void InvalidateCountState() override { delta_counter_.Invalidate(); }
-  void ReleaseMemory() override;
+  void InvalidateCountState() override { core_.InvalidateCountState(); }
+  void ReleaseMemory() override { core_.ReleaseMemory(); }
 
   /// Full/delta/re-emit breakdown of the top-level counting passes.
   const DeltaCounterStats& counting_stats() const {
-    return delta_counter_.stats();
+    return core_.counting_stats();
   }
+
+  /// Pruning statistics (Table 4), as KlpSelector::stats().
+  const KlpStats& stats() const { return core_.stats(); }
 
   /// Drops the (ids, k) memo only — benches clear it between conversations
   /// so the uncached counting cost is what gets measured.
-  void ClearCache() { cache_.clear(); }
+  void ClearCache() { core_.ClearCache(); }
 
  private:
-  struct MemoKey {
-    std::vector<SetId> ids;
-    int32_t k;
-    bool operator==(const MemoKey&) const = default;
-  };
-  struct MemoKeyHash {
-    size_t operator()(const MemoKey& key) const;
-  };
-  struct MemoEntry {
-    EntityId entity;
-    Cost bound;
-  };
-
-  WeightedSelection SelectImpl(const SubCollection& sub, int k,
-                               Cost upper_limit,
-                               const EntityExclusion* excluded);
-
-  /// Fills `candidates` with per-entity split sums for every entry of
-  /// `counts`, via one dense epoch-stamped pass over the view's sets:
-  /// contained set count, contained quantized mass (integer — exact
-  /// regardless of accumulation order), and contained Σ qw·log2(qw). With
-  /// the view's own totals, those three numbers give both halves' sizes,
-  /// weights, and Shannon floors (Lb0FromSums) — so a candidate's 1-step
-  /// bound costs O(1), leaf nodes (k <= 1) never call Partition at all,
-  /// and interior nodes partition only candidates that survive the
-  /// early-break check.
-  struct Candidate {
-    EntityId entity;
-    uint32_t count;
-    Cost weight_in;
-    double qlog_in;
-  };
-  void WeighCandidates(const SubCollection& sub,
-                       const std::vector<EntityCount>& counts,
-                       std::vector<Candidate>* candidates);
-
-  /// Shannon floor from a view's weight sums: Σ qw·log2(W/qw) =
-  /// log2(W)·W − Σ qw·log2(qw), so a view's bound needs only its total
-  /// weight and its Σ qw·log2(qw) — both one-lookup-per-set accumulations
-  /// over the tables below, and both derivable for a partition's second
-  /// half by subtraction from the parent's sums.
-  static Cost Lb0FromSums(Cost total_weight, double qlog_sum);
-
   const std::vector<double>* weights_;
   WeightedKlpOptions options_;
   std::string name_;
-  double quantization_scale_ = 1.0;
-  /// Per-set quantized weight and qw·log2(qw), fixed at construction (the
-  /// prior is immutable): the recursion's bound math never recomputes
-  /// llround or log2 per call.
-  std::vector<Cost> quantized_;
-  std::vector<double> weight_log_;
-  EntityCounter counter_;
-  /// Top-level counting state; armed by NotePartition between steps.
-  DeltaCounter delta_counter_;
-  std::unordered_map<MemoKey, MemoEntry, MemoKeyHash> cache_;
-  int depth_ = 0;
-  std::vector<std::unique_ptr<std::vector<EntityCount>>> scratch_;
-  /// Dense per-entity accumulators for WeighCandidates (quantized mass and
-  /// qw·log2(qw) mass), epoch-stamped so they never need clearing. The
-  /// stamps start zeroed and the accumulators uninitialised
-  /// (util/scratch_array.h), so a fresh selector faults in only the pages a
-  /// pass writes.
-  ScratchArray<Cost> weight_acc_;
-  ScratchArray<double> qlog_acc_;
-  ScratchArray<uint32_t> weight_stamp_;
-  uint32_t weight_epoch_ = 0;
+  LookaheadCore<WeightedCost> core_;
 };
 
 /// Unpruned exhaustive weighted k-step bound — the test reference for the
