@@ -1,7 +1,6 @@
 #include "core/klp.h"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "collection/count_kernels.h"
 #include "collection/fingerprint.h"
@@ -167,12 +166,10 @@ KlpOptions KlpOptions::MakeOptimal(CostMetric metric) {
 namespace {
 
 /// Transposed view of one node for the duplicate-partition skip: for each
-/// candidate (by its index in the node's scan order), the positions in C
-/// of the sets containing it, plus an order-free hash of that position
-/// set. Two candidates split C identically iff their position sets are
-/// equal or complementary; the hash is XOR-based so a complement's hash is
-/// the all-positions hash XOR the candidate's, and the smaller of the two
-/// is the split's key.
+/// candidate (by scan-order index), the positions in C of the sets holding
+/// it, and an XOR hash of them. Two candidates split C identically iff the
+/// position sets are equal or complementary; a complement's hash is the
+/// all-positions hash XOR the candidate's, so the smaller is the key.
 class PartitionIndex {
  public:
   /// Builds the index for `sub` over `candidates` (anything with `entity`
@@ -180,21 +177,116 @@ class PartitionIndex {
   /// entity -> candidate map.
   template <class Candidate>
   void Build(const SubCollection& sub,
-             const std::vector<Candidate>& candidates, EntityCounter* counter);
+             const std::vector<Candidate>& candidates, EntityCounter* counter) {
+    const size_t m = candidates.size();
+    n_ = static_cast<uint32_t>(sub.size());
+    offsets_.resize(m + 1);
+    offsets_[0] = 0;
+    for (size_t i = 0; i < m; ++i) {
+      offsets_[i + 1] = offsets_[i] + candidates[i].count;
+    }
+    positions_.resize(offsets_[m]);
+    keys_.assign(m, 0);
+    // The counter's dense array is all-zero between counts: borrow it as
+    // the entity -> (candidate index + 1) map instead of keeping a
+    // universe-sized array per level, and use positions' own offsets as
+    // fill cursors.
+    const SetCollection& c = sub.collection();
+    const std::span<uint32_t> slot = counter->BorrowZeroed(c.universe_size());
+    for (size_t i = 0; i < m; ++i) {
+      slot[candidates[i].entity] = static_cast<uint32_t>(i + 1);
+    }
+    const std::span<const SetId> ids = sub.ids();
+    for (uint32_t p = 0; p < n_; ++p) {
+      const uint64_t bit = FingerprintBit(p);
+      for (const EntityId e : c.set(ids[p])) {
+        const uint32_t j = slot[e];
+        if (j == 0) continue;
+        positions_[offsets_[j - 1]++] = p;
+        keys_[j - 1] ^= bit;
+      }
+    }
+    // Each start was used as its candidate's fill cursor and now holds that
+    // candidate's end, which is the next one's start: shift them back.
+    for (size_t i = m; i > 0; --i) offsets_[i] = offsets_[i - 1];
+    offsets_[0] = 0;
+    uint64_t all = 0;
+    for (uint32_t p = 0; p < n_; ++p) all ^= FingerprintBit(p);
+    for (size_t i = 0; i < m; ++i) {
+      slot[candidates[i].entity] = 0;
+      const uint64_t key = std::min(keys_[i], keys_[i] ^ all);
+      keys_[i] = key == 0 ? 1 : key;
+    }
+    size_t cap = 16;
+    while (cap < 2 * m) cap <<= 1;
+    table_keys_.assign(cap, 0);
+    table_slots_.resize(cap);
+  }
+
   /// True when candidate i splits C like an earlier examined candidate —
   /// with the same containing half, or with the halves swapped when
   /// `swapped_too` — otherwise records i as examined.
-  bool SeenSplit(size_t i, bool swapped_too);
+  bool SeenSplit(size_t i, bool swapped_too) {
+    const size_t mask = table_keys_.size() - 1;
+    for (size_t h = keys_[i] & mask; table_keys_[h] != 0; h = (h + 1) & mask) {
+      if (table_keys_[h] == keys_[i] &&
+          SameSplit(i, table_slots_[h], swapped_too)) {
+        return true;
+      }
+    }
+    Insert(i);
+    return false;
+  }
+
   /// Records candidate i as examined without checking it.
-  void Insert(size_t i);
+  void Insert(size_t i) {
+    const size_t mask = table_keys_.size() - 1;
+    size_t h = keys_[i] & mask;
+    while (table_keys_[h] != 0) h = (h + 1) & mask;
+    table_keys_[h] = keys_[i];
+    table_slots_[h] = static_cast<uint32_t>(i);
+  }
+
   /// Partition of `sub` on candidate i, read off the index.
   std::pair<SubCollection, SubCollection> Cut(const SubCollection& sub,
-                                              size_t i) const;
+                                              size_t i) const {
+    const std::span<const SetId> ids = sub.ids();
+    const uint32_t* pos = positions_.data() + offsets_[i];
+    const size_t c = offsets_[i + 1] - offsets_[i];
+    std::vector<SetId> in(c), out;
+    out.reserve(n_ - c);
+    uint32_t p = 0;
+    for (size_t t = 0; t < c; ++t) {
+      for (; p < pos[t]; ++p) out.push_back(ids[p]);
+      in[t] = ids[p++];
+    }
+    for (; p < n_; ++p) out.push_back(ids[p]);
+    return {SubCollection(&sub.collection(), std::move(in)),
+            SubCollection(&sub.collection(), std::move(out))};
+  }
 
  private:
-  bool SameSplit(size_t i, size_t j, bool swapped_too) const;
+  bool SameSplit(size_t i, size_t j, bool swapped_too) const {
+    const uint32_t* a = positions_.data() + offsets_[i];
+    const uint32_t* a_end = positions_.data() + offsets_[i + 1];
+    const uint32_t* b = positions_.data() + offsets_[j];
+    const uint32_t* b_end = positions_.data() + offsets_[j + 1];
+    const size_t size_a = a_end - a, size_b = b_end - b;
+    if (size_a == size_b && std::equal(a, a_end, b)) return true;
+    if (!swapped_too || size_a + size_b != n_) return false;
+    // Complementary halves: sizes add up to |C|, so disjoint means exact.
+    while (a != a_end && b != b_end) {
+      if (*a == *b) return false;
+      if (*a < *b) {
+        ++a;
+      } else {
+        ++b;
+      }
+    }
+    return true;
+  }
 
-  std::vector<uint32_t> offsets_;    ///< candidate i: [offsets_[i], offsets_[i+1])
+  std::vector<uint32_t> offsets_;    ///< candidate i: [offsets_[i], [i+1])
   std::vector<uint32_t> positions_;  ///< ascending positions per candidate
   std::vector<uint64_t> keys_;       ///< split key per candidate
   /// Open-addressing table of examined splits: key and candidate index
@@ -204,298 +296,15 @@ class PartitionIndex {
   uint32_t n_ = 0;  ///< |C| of the indexed node
 };
 
+/// Fills `counts` with what CountInformative(sub, excluded) would emit: the
+/// smaller half's counts filtered (sub is that half) or subtracted from the
+/// parent's list (sub is the larger).
 template <class Candidate>
-void PartitionIndex::Build(const SubCollection& sub,
-                           const std::vector<Candidate>& candidates,
-                           EntityCounter* counter) {
-  const size_t m = candidates.size();
-  n_ = static_cast<uint32_t>(sub.size());
-  offsets_.resize(m + 1);
-  offsets_[0] = 0;
-  for (size_t i = 0; i < m; ++i) {
-    offsets_[i + 1] = offsets_[i] + candidates[i].count;
-  }
-  positions_.resize(offsets_[m]);
-  keys_.assign(m, 0);
-  // The counter's dense array is all-zero between counts: borrow it as the
-  // entity -> (candidate index + 1) map instead of keeping a universe-sized
-  // array per level, and use positions' own offsets as fill cursors.
-  const SetCollection& c = sub.collection();
-  const std::span<uint32_t> slot = counter->BorrowZeroed(c.universe_size());
-  for (size_t i = 0; i < m; ++i) {
-    slot[candidates[i].entity] = static_cast<uint32_t>(i + 1);
-  }
-  const std::span<const SetId> ids = sub.ids();
-  for (uint32_t p = 0; p < n_; ++p) {
-    const uint64_t bit = FingerprintBit(p);
-    for (const EntityId e : c.set(ids[p])) {
-      const uint32_t j = slot[e];
-      if (j == 0) continue;
-      positions_[offsets_[j - 1]++] = p;
-      keys_[j - 1] ^= bit;
-    }
-  }
-  // Each start was used as its candidate's fill cursor and now holds that
-  // candidate's end, which is the next one's start: shift them back.
-  for (size_t i = m; i > 0; --i) offsets_[i] = offsets_[i - 1];
-  offsets_[0] = 0;
-  uint64_t all = 0;
-  for (uint32_t p = 0; p < n_; ++p) all ^= FingerprintBit(p);
-  for (size_t i = 0; i < m; ++i) {
-    slot[candidates[i].entity] = 0;
-    const uint64_t key = std::min(keys_[i], keys_[i] ^ all);
-    keys_[i] = key == 0 ? 1 : key;
-  }
-  size_t cap = 16;
-  while (cap < 2 * m) cap <<= 1;
-  table_keys_.assign(cap, 0);
-  table_slots_.resize(cap);
-}
-
-bool PartitionIndex::SameSplit(size_t i, size_t j, bool swapped_too) const {
-  const uint32_t* a = positions_.data() + offsets_[i];
-  const uint32_t* a_end = positions_.data() + offsets_[i + 1];
-  const uint32_t* b = positions_.data() + offsets_[j];
-  const uint32_t* b_end = positions_.data() + offsets_[j + 1];
-  const size_t size_a = a_end - a, size_b = b_end - b;
-  if (size_a == size_b && std::equal(a, a_end, b)) return true;
-  if (!swapped_too || size_a + size_b != n_) return false;
-  // Complementary halves: sizes add up to |C|, so disjoint means exact.
-  while (a != a_end && b != b_end) {
-    if (*a == *b) return false;
-    if (*a < *b) {
-      ++a;
-    } else {
-      ++b;
-    }
-  }
-  return true;
-}
-
-bool PartitionIndex::SeenSplit(size_t i, bool swapped_too) {
-  const size_t mask = table_keys_.size() - 1;
-  for (size_t h = keys_[i] & mask; table_keys_[h] != 0; h = (h + 1) & mask) {
-    if (table_keys_[h] == keys_[i] &&
-        SameSplit(i, table_slots_[h], swapped_too)) {
-      return true;
-    }
-  }
-  Insert(i);
-  return false;
-}
-
-void PartitionIndex::Insert(size_t i) {
-  const size_t mask = table_keys_.size() - 1;
-  size_t h = keys_[i] & mask;
-  while (table_keys_[h] != 0) h = (h + 1) & mask;
-  table_keys_[h] = keys_[i];
-  table_slots_[h] = static_cast<uint32_t>(i);
-}
-
-std::pair<SubCollection, SubCollection> PartitionIndex::Cut(
-    const SubCollection& sub, size_t i) const {
-  const std::span<const SetId> ids = sub.ids();
-  const uint32_t* pos = positions_.data() + offsets_[i];
-  const size_t c = offsets_[i + 1] - offsets_[i];
-  std::vector<SetId> in(c), out;
-  out.reserve(n_ - c);
-  uint32_t p = 0;
-  for (size_t t = 0; t < c; ++t) {
-    for (; p < pos[t]; ++p) out.push_back(ids[p]);
-    in[t] = ids[p++];
-  }
-  for (; p < n_; ++p) out.push_back(ids[p]);
-  return {SubCollection(&sub.collection(), std::move(in)),
-          SubCollection(&sub.collection(), std::move(out))};
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------- CountCost
-
-void CountCost::Sort(const Node& node,
-                     std::vector<EntityCount>* candidates) const {
-  const uint64_t n = node.n;
-  std::sort(candidates->begin(), candidates->end(),
-            [n](const EntityCount& a, const EntityCount& b) {
-              uint64_t ia = Imbalance(a.count, n);
-              uint64_t ib = Imbalance(b.count, n);
-              if (ia != ib) return ia < ib;
-              return a.entity < b.entity;
-            });
-}
-
-KlpSelection CountCost::PickLeaf(const Node& node,
-                                 std::vector<EntityCount>* candidates,
-                                 Cost upper_limit, int beam) const {
-  (void)upper_limit, (void)beam;
-  // Ascending entity order in `candidates` makes ties deterministic.
-  const uint64_t n = node.n;
-  EntityId best_e = (*candidates)[0].entity;
-  uint64_t best_c = (*candidates)[0].count;
-  uint64_t best_imb = Imbalance(best_c, n);
-  for (const EntityCount& ec : *candidates) {
-    uint64_t imb = Imbalance(ec.count, n);
-    if (imb < best_imb) {
-      best_imb = imb;
-      best_e = ec.entity;
-      best_c = ec.count;
-    }
-  }
-  return {best_e, Lb1(metric_, best_c, n - best_c)};
-}
-
-KlpSelection CountCost::PickHintedLeaf(const SubCollection& sub,
-                                       const Node& node, Cost upper_limit,
-                                       const DeltaHint<EntityCount>& hint,
-                                       const EntityExclusion* excluded,
-                                       int beam, bool sorted) const {
-  (void)beam;
-  const uint64_t n = node.n;
-  if (!*hint.dense_valid) {
-    hint.counter->CountDense(*hint.small);
-    *hint.dense_valid = true;
-  }
-  LeafPick pick;
-  if (&sub == hint.small) {
-    pick = MostEvenSmallerHalf(hint.counter->touched(), hint.counter->dense(),
-                               n, excluded);
-  } else {
-    // Entries whose imbalance reaches the limit cannot answer below it, so
-    // the walk may stop there as well.
-    const uint64_t stop = upper_limit < kInfiniteCost
-                              ? ImbalanceReaching(metric_, upper_limit, n)
-                              : UINT64_MAX;
-    pick = MostEvenLargerHalf(*hint.parent_order, sorted,
-                              hint.counter->dense(), hint.small->size(), n,
-                              stop);
-  }
-  if (pick.entity == kNoEntity) return {kNoEntity, upper_limit};
-  const Cost bound = Lb1(metric_, pick.count, n - pick.count);
-  // What a memo hit with this bound answers: nothing below the limit.
-  if (upper_limit <= bound) return {kNoEntity, bound};
-  return {pick.entity, bound};
-}
-
-// ------------------------------------------------------------ LookaheadCore
-
-/// Reusable per-recursion-level scratch. Each level owns a counter so a
-/// node's dense smaller-half counts stay live while its children (which
-/// dense-count on their own level) derive from them.
-template <class Model>
-struct LookaheadCore<Model>::LevelScratch {
-  std::vector<EntityCount> counts;  ///< informative counts, ascending
-  std::vector<EntityCount> asc;     ///< ascending copy when sorted in place
-  std::vector<Candidate> weighed;   ///< the model's candidates, if separate
-  EntityCounter counter;            ///< smaller-half dense counts
-  PartitionIndex index;             ///< this level's node, built lazily
-};
-
-template <class Model>
-LookaheadCore<Model>::LookaheadCore(Model model, const KlpOptions& options)
-    : model_(std::move(model)), options_(options) {
-  delta_counter_.set_enabled(options_.enable_delta_counting);
-  // Only a model whose scan order is the count order can take it from the
-  // delta counter; keeping the retained list sorted across the chain is
-  // paid for only then — the 1-step selectors leave this off too.
-  delta_counter_.set_retain_order(Model::kOrderFromCounts &&
-                                  options_.sort_candidates);
-}
-
-template <class Model>
-LookaheadCore<Model>::~LookaheadCore() = default;
-
-template <class Model>
-size_t LookaheadCore<Model>::MemoKeyHash::operator()(
-    const MemoKey& key) const {
-  uint64_t h = 1469598103934665603ULL;
-  for (SetId s : key.ids) {
-    h ^= s;
-    h *= 1099511628211ULL;
-    h ^= h >> 29;
-  }
-  h ^= static_cast<uint64_t>(key.k) * 0x9E3779B97F4A7C15ULL;
-  h ^= static_cast<uint64_t>(static_cast<uint32_t>(key.beam)) *
-       0xC2B2AE3D27D4EB4FULL;
-  return static_cast<size_t>(h);
-}
-
-template <class Model>
-void LookaheadCore<Model>::NotePartition(const SubCollection& parent,
-                                         EntityId e, bool kept_contains,
-                                         const SubCollection& kept,
-                                         SubCollection dropped) {
-  if (best_small_valid_ && e == best_small_entity_) {
-    // The partition entity is the candidate this core just chose, and its
-    // lookahead counted the smaller half of exactly this split: the kept
-    // child's counts derive right now, making the next top-level count a
-    // free re-emit.
-    delta_counter_.SeedChild(parent, kept, best_small_counts_,
-                             /*half_is_kept=*/best_small_is_in_ ==
-                                 kept_contains);
-  } else {
-    delta_counter_.NotePartition(parent, kept, std::move(dropped));
-  }
-  best_small_valid_ = false;
-}
-
-template <class Model>
-void LookaheadCore<Model>::InvalidateCountState() {
-  delta_counter_.Invalidate();
-  best_small_valid_ = false;
-}
-
-template <class Model>
-void LookaheadCore<Model>::ReleaseMemory() {
-  delta_counter_.Release();
-  counter_.Release();
-  cache_.clear();
-  cache_.rehash(0);
-  scratch_.clear();
-  best_small_counts_ = {};
-  best_small_valid_ = false;
-  model_.Release();
-}
-
-template <class Model>
-KlpSelection LookaheadCore<Model>::Select(const SubCollection& sub, int k,
-                                          Cost upper_limit,
-                                          const EntityExclusion* excluded) {
-  if (sub.size() < 2) return {kNoEntity, 0};
-  if (cache_.size() > options_.max_cache_entries) ClearCache();
-  NodeStats node;
-  depth_ = 0;
-  // A fresh top-level search invalidates any winner snapshot from the last
-  // one (it described the previous view's candidates).
-  best_small_valid_ = false;
-  KlpSelection result = SelectImpl(sub, k, upper_limit, /*top=*/true,
-                                   excluded, &node, /*hint=*/nullptr);
-  stats_.totals.candidates += node.candidates;
-  stats_.totals.fully_evaluated += node.fully_evaluated;
-  stats_.totals.pruned_by_break += node.pruned_by_break;
-  stats_.totals.pruned_by_child += node.pruned_by_child;
-  stats_.totals.excluded_by_beam += node.excluded_by_beam;
-  stats_.totals.pruned_by_duplicate += node.pruned_by_duplicate;
-  if (options_.record_per_node_stats) stats_.per_node.push_back(node);
-  if (obs::Enabled()) PublishNodeStats(node);
-  obs::NoteLookahead({sub.size(), node.candidates, node.fully_evaluated,
-                      node.pruned_by_duplicate});
-  return result;
-}
-
-template <class Model>
-void LookaheadCore<Model>::MaterializeFromHint(
-    const SubCollection& sub, const Hint& hint,
-    std::vector<EntityCount>* counts) {
+void MaterializeFromHint(const SubCollection& sub,
+                         const DeltaHint<Candidate>& hint,
+                         std::vector<EntityCount>* counts) {
   const uint32_t n = static_cast<uint32_t>(sub.size());
-  if (!*hint.dense_valid) {
-    // One dense scan of the smaller half serves both children of the
-    // candidate: no touched-list sort, no list emission — the children read
-    // it by random access below while walking the parent's sorted list.
-    hint.counter->CountDense(*hint.small);
-    *hint.dense_valid = true;
-  }
-  const std::span<const uint32_t> dense = hint.counter->dense();
+  const std::span<const uint32_t> dense = hint.SmallCounts().dense();
   const size_t m = hint.parent_asc->size();
   counts->resize(m);
   // Entities uninformative at the parent (in all or none of its sets) are
@@ -514,12 +323,165 @@ void LookaheadCore<Model>::MaterializeFromHint(
   counts->resize(w);
 }
 
+}  // namespace
+
+void CountCost::Sort(const Node& node,
+                     std::vector<EntityCount>* candidates) const {
+  const uint64_t n = node.n;
+  std::sort(candidates->begin(), candidates->end(),
+            [n](const EntityCount& a, const EntityCount& b) {
+              uint64_t ia = Imbalance(a.count, n);
+              uint64_t ib = Imbalance(b.count, n);
+              if (ia != ib) return ia < ib;
+              return a.entity < b.entity;
+            });
+}
+
+KlpSelection CountCost::PickLeaf(const Node& node,
+                                 std::vector<EntityCount>* candidates,
+                                 Cost /*upper_limit*/, int /*beam*/) const {
+  LeafPick pick;
+  for (const EntityCount& ec : *candidates) {
+    Consider(&pick, ec.entity, ec.count, node.n);
+  }
+  return {pick.entity, Lb1(metric_, pick.count, node.n - pick.count)};
+}
+
+KlpSelection CountCost::PickHintedLeaf(const SubCollection& sub,
+                                       const Node& node, Cost upper_limit,
+                                       const DeltaHint<EntityCount>& hint,
+                                       const EntityExclusion* excluded,
+                                       int /*beam*/, bool sorted) const {
+  const uint64_t n = node.n;
+  const EntityCounter& small = hint.SmallCounts();
+  LeafPick pick;
+  if (&sub == hint.small) {
+    pick = MostEvenSmallerHalf(small.touched(), small.dense(), n, excluded);
+  } else {
+    // Entries whose imbalance reaches the limit cannot answer below it, so
+    // the walk may stop there as well.
+    const uint64_t stop = upper_limit < kInfiniteCost
+                              ? ImbalanceReaching(metric_, upper_limit, n)
+                              : UINT64_MAX;
+    pick = MostEvenLargerHalf(*hint.parent_order, sorted, small.dense(),
+                              hint.small->size(), n, stop);
+  }
+  if (pick.entity == kNoEntity) return {kNoEntity, upper_limit};
+  const Cost bound = Lb1(metric_, pick.count, n - pick.count);
+  // What a memo hit with this bound answers: nothing below the limit.
+  if (upper_limit <= bound) return {kNoEntity, bound};
+  return {pick.entity, bound};
+}
+
+/// Per-recursion-level scratch; each level's counter keeps its node's
+/// smaller-half counts live while the children derive from them.
 template <class Model>
-KlpSelection LookaheadCore<Model>::SelectImpl(const SubCollection& sub, int k,
-                                              Cost upper_limit, bool top,
-                                              const EntityExclusion* excluded,
-                                              NodeStats* node_stats,
-                                              const Hint* hint) {
+struct LookaheadSelector<Model>::LevelScratch {
+  std::vector<EntityCount> counts;  ///< informative counts, ascending
+  std::vector<EntityCount> asc;     ///< ascending copy when sorted in place
+  std::vector<Candidate> weighed;   ///< the model's candidates, if separate
+  EntityCounter counter;            ///< smaller-half dense counts
+  PartitionIndex index;             ///< this level's node, built lazily
+};
+
+template <class Model>
+LookaheadSelector<Model>::LookaheadSelector(Model model,
+                                            const KlpOptions& options)
+    : options_(options), model_(std::move(model)) {
+  delta_counter_.set_enabled(options_.enable_delta_counting);
+  // Only a count-ordered scan can take its order from the delta counter,
+  // so only then is the retained list kept sorted across the chain.
+  delta_counter_.set_retain_order(Model::kCandidatesAreCounts &&
+                                  options_.sort_candidates);
+}
+
+template <class Model>
+LookaheadSelector<Model>::~LookaheadSelector() = default;
+
+template <class Model>
+size_t LookaheadSelector<Model>::MemoKeyHash::operator()(
+    const MemoKey& key) const {
+  uint64_t h = 1469598103934665603ULL;
+  for (SetId s : key.ids) {
+    h ^= s;
+    h *= 1099511628211ULL;
+    h ^= h >> 29;
+  }
+  h ^= static_cast<uint64_t>(key.k) * 0x9E3779B97F4A7C15ULL;
+  h ^= static_cast<uint64_t>(static_cast<uint32_t>(key.beam)) *
+       0xC2B2AE3D27D4EB4FULL;
+  return static_cast<size_t>(h);
+}
+
+template <class Model>
+void LookaheadSelector<Model>::NotePartition(const SubCollection& parent,
+                                             EntityId e, bool kept_contains,
+                                             const SubCollection& kept,
+                                             SubCollection dropped) {
+  if (best_small_valid_ && e == best_small_entity_) {
+    // This selector just chose e, and its lookahead counted the smaller half
+    // of exactly this split: the kept child's counts derive right now,
+    // making the next top-level count a free re-emit.
+    delta_counter_.SeedChild(parent, kept, best_small_counts_,
+                             /*half_is_kept=*/best_small_is_in_ ==
+                                 kept_contains);
+  } else {
+    delta_counter_.NotePartition(parent, kept, std::move(dropped));
+  }
+  best_small_valid_ = false;
+}
+
+template <class Model>
+void LookaheadSelector<Model>::InvalidateCountState() {
+  delta_counter_.Invalidate();
+  best_small_valid_ = false;
+}
+
+template <class Model>
+void LookaheadSelector<Model>::ReleaseMemory() {
+  delta_counter_.Release();
+  counter_.Release();
+  cache_.clear();
+  cache_.rehash(0);
+  scratch_.clear();
+  best_small_counts_ = {};
+  best_small_valid_ = false;
+  model_.Release();
+}
+
+template <class Model>
+KlpSelection LookaheadSelector<Model>::Search(const SubCollection& sub,
+                                              Cost upper_limit,
+                                              const EntityExclusion* excluded) {
+  if (sub.size() < 2) return {kNoEntity, 0};
+  if (cache_.size() > options_.max_cache_entries) ClearCache();
+  NodeStats node;
+  depth_ = 0;
+  // A fresh top-level search invalidates any winner snapshot from the last
+  // one (it described the previous view's candidates).
+  best_small_valid_ = false;
+  // effective_k() == options_.k at effort 0, so the undegraded path is
+  // byte-identical to pre-effort behavior (including memo keys).
+  KlpSelection result = SelectImpl(sub, effective_k(), upper_limit,
+                                   /*top=*/true, excluded, &node,
+                                   /*hint=*/nullptr);
+  stats_.totals.candidates += node.candidates;
+  stats_.totals.fully_evaluated += node.fully_evaluated;
+  stats_.totals.pruned_by_break += node.pruned_by_break;
+  stats_.totals.pruned_by_child += node.pruned_by_child;
+  stats_.totals.excluded_by_beam += node.excluded_by_beam;
+  stats_.totals.pruned_by_duplicate += node.pruned_by_duplicate;
+  if (options_.record_per_node_stats) stats_.per_node.push_back(node);
+  if (obs::Enabled()) PublishNodeStats(node);
+  obs::NoteLookahead({sub.size(), node.candidates, node.fully_evaluated,
+                      node.pruned_by_duplicate});
+  return result;
+}
+
+template <class Model>
+KlpSelection LookaheadSelector<Model>::SelectImpl(
+    const SubCollection& sub, int k, Cost upper_limit, bool top,
+    const EntityExclusion* excluded, NodeStats* node_stats, const Hint* hint) {
   ++stats_.recursive_calls;
   const uint64_t n = sub.size();
   SETDISC_CHECK(n >= 2);
@@ -592,8 +554,7 @@ KlpSelection LookaheadCore<Model>::SelectImpl(const SubCollection& sub, int k,
   }
   if (top && node_stats != nullptr) node_stats->candidates = counts.size();
 
-  // The model's per-candidate split sums (the count list itself for the
-  // count models).
+  // The model's per-candidate split sums (the count list for CountCost).
   std::vector<Candidate>& candidates =
       model_.Weigh(sub, node, &counts, &level.weighed);
 
@@ -608,11 +569,11 @@ KlpSelection LookaheadCore<Model>::SelectImpl(const SubCollection& sub, int k,
     return r;
   }
 
-  // The children's count derivation is a merge against the node's
-  // ascending list; keep a copy when the sort below reorders it in place.
+  // Children derive their counts from the ascending list: keep a copy when
+  // the sort below reorders it in place.
   const bool delta_children = options_.enable_delta_counting;
   const std::vector<EntityCount>* asc = &counts;
-  if constexpr (std::is_same_v<Candidate, EntityCount>) {
+  if constexpr (Model::kCandidatesAreCounts) {
     if (delta_children) {
       level.asc.assign(counts.begin(), counts.end());
       asc = &level.asc;
@@ -626,14 +587,12 @@ KlpSelection LookaheadCore<Model>::SelectImpl(const SubCollection& sub, int k,
     // lookahead node.
     obs::PhaseTimer order_timer(obs::Phase::kOrder, /*armed=*/top);
     bool served = false;
-    if constexpr (Model::kOrderFromCounts) {
-      // Top level first asks the delta counter for the order: the retained
-      // list it just served `counts` from stays (count, entity)-sorted
-      // across the chain (repaired per step, not re-sorted), and its wing
-      // merge emits this exact comparator's output in O(m). Falls back to
-      // the sort whenever the chain cannot serve (delta counting off, chain
-      // broken) — byte-identical either way, pinned by the ordering parity
-      // tests.
+    if constexpr (Model::kCandidatesAreCounts) {
+      // Top level first asks the delta counter: its retained list stays
+      // (count, entity)-sorted across the chain, and its wing merge emits
+      // this exact order in O(m). The sort is the fallback whenever the
+      // chain cannot serve — byte-identical either way (ordering parity
+      // tests).
       served = top && delta_children &&
                delta_counter_.EmitMostEvenOrder(sub.Fingerprint(),
                                                 static_cast<uint32_t>(n),
@@ -671,7 +630,7 @@ KlpSelection LookaheadCore<Model>::SelectImpl(const SubCollection& sub, int k,
 
   for (size_t i = 0; i < limit; ++i) {
     const EntityId e = candidates[i].entity;
-    const typename Model::Split split = model_.SplitOf(node, candidates[i]);
+    const SplitLb0 split = model_.SplitOf(node, candidates[i]);
 
     // Line 14: prune by the 1-step bound (Lemma 4.4 with l = 1).
     if (options_.enable_early_break &&
@@ -711,53 +670,38 @@ KlpSelection LookaheadCore<Model>::SelectImpl(const SubCollection& sub, int k,
                           &level.counter, &dense_valid};
     const Hint* hint_ptr = delta_children ? &child_hint : nullptr;
 
-    // Lines 18-25: (k-1)-step bound of C+ under its derived upper limit. A
-    // child with no entity below its limit drops the candidate — or, for a
-    // model that falls back to LB_0 while upper limits are off, stands at
-    // its LB_0.
-    Cost l_in;
-    if (c_in.size() <= 1) {
-      l_in = 0;
-    } else {
-      Cost ul_in = options_.enable_upper_limits
-                       ? model_.UpperLimitFirst(node, best, split.lb0_out)
-                       : kInfiniteCost;
+    // Lines 18-32: each half's (k-1)-step bound under its derived upper
+    // limit — C+ first, then C- under the tighter limit that l_in gives. A
+    // child with no entity below its limit drops the candidate, unless the
+    // model falls back to the half's LB_0 while upper limits are off.
+    auto half_bound = [&](const SubCollection& half, Cost ul, Cost lb0,
+                          Cost* bound) {
+      if (half.size() <= 1) {
+        *bound = 0;
+        return true;
+      }
       ++depth_;
-      KlpSelection r = SelectImpl(c_in, k - 1, ul_in, /*top=*/false, excluded,
-                                  nullptr, hint_ptr);
+      const KlpSelection r = SelectImpl(
+          half, k - 1, options_.enable_upper_limits ? ul : kInfiniteCost,
+          /*top=*/false, excluded, nullptr, hint_ptr);
       --depth_;
       if (r.entity != kNoEntity) {
-        l_in = r.bound;
+        *bound = r.bound;
       } else if (Model::kNoEntityFallsBackToLb0 &&
                  !options_.enable_upper_limits) {
-        l_in = split.lb0_in;
+        *bound = lb0;
       } else {
         if (top && node_stats != nullptr) ++node_stats->pruned_by_child;
-        continue;
+        return false;
       }
-    }
-
-    // Lines 26-32: C- under the tighter limit now that l_in is known.
-    Cost l_out;
-    if (c_out.size() <= 1) {
-      l_out = 0;
-    } else {
-      Cost ul_out = options_.enable_upper_limits
-                        ? model_.UpperLimitSecond(node, best, l_in)
-                        : kInfiniteCost;
-      ++depth_;
-      KlpSelection r = SelectImpl(c_out, k - 1, ul_out, /*top=*/false,
-                                  excluded, nullptr, hint_ptr);
-      --depth_;
-      if (r.entity != kNoEntity) {
-        l_out = r.bound;
-      } else if (Model::kNoEntityFallsBackToLb0 &&
-                 !options_.enable_upper_limits) {
-        l_out = split.lb0_out;
-      } else {
-        if (top && node_stats != nullptr) ++node_stats->pruned_by_child;
-        continue;
-      }
+      return true;
+    };
+    Cost l_in, l_out;
+    if (!half_bound(c_in, model_.UpperLimitFirst(node, best, split.lb0_out),
+                    split.lb0_in, &l_in) ||
+        !half_bound(c_out, model_.UpperLimitSecond(node, best, l_in),
+                    split.lb0_out, &l_out)) {
+      continue;
     }
 
     // Lines 33-36: keep the strict minimum; ties resolve to the earlier
@@ -769,20 +713,14 @@ KlpSelection LookaheadCore<Model>::SelectImpl(const SubCollection& sub, int k,
       best = l;
       best_entity = e;
       if (top && delta_children) {
-        // Snapshot the winning candidate's smaller-half counts (restricted
-        // to this node's list, the shape SeedChild wants): if the session
-        // partitions on this entity — it returns as the selection —
-        // NotePartition seeds the child's counts from them and the next
-        // top-level count is free. Overwritten whenever a later candidate
-        // takes the lead; ~one pass per step in the sorted-candidates
-        // regime, where the leader rarely changes. A leader whose children
-        // never read the dense scan (memo hits, singleton halves, the
-        // weighted leaves) pays for it here.
-        if (!dense_valid) {
-          level.counter.CountDense(*child_hint.small);
-          dense_valid = true;
-        }
-        const std::span<const uint32_t> dense = level.counter.dense();
+        // Snapshot the leader's smaller-half counts (restricted to this
+        // node's list, the shape SeedChild wants): if the session partitions
+        // on this entity, NotePartition seeds the child's counts from them
+        // and the next top-level count is free. The leader rarely changes;
+        // one whose children never read the dense scan (memo hits,
+        // singleton halves, the weighted leaves) pays for it here.
+        const std::span<const uint32_t> dense =
+            child_hint.SmallCounts().dense();
         best_small_counts_.resize(asc->size());
         const size_t w = kernels::GatherChild(
             asc->data(), asc->size(), dense.data(), dense.size(),
@@ -801,13 +739,11 @@ KlpSelection LookaheadCore<Model>::SelectImpl(const SubCollection& sub, int k,
   return {best_entity, best};
 }
 
-template class LookaheadCore<CountCost>;
-template class LookaheadCore<WeightedCost>;
-
-// -------------------------------------------------------------- KlpSelector
+template class LookaheadSelector<CountCost>;
+template class LookaheadSelector<WeightedCost>;
 
 KlpSelector::KlpSelector(KlpOptions options)
-    : options_(options), core_(CountCost(options.metric), options) {
+    : LookaheadSelector(CountCost(options.metric), options) {
   SETDISC_CHECK(options_.k >= 1);
   const char* metric_tag =
       options_.metric == CostMetric::kAvgDepth ? "AD" : "H";
@@ -825,21 +761,6 @@ KlpSelector::KlpSelector(KlpOptions options)
   } else {
     name_ = Format("%d-LP(%s)", options_.k, metric_tag);
   }
-}
-
-KlpSelector::~KlpSelector() = default;
-
-EntityId KlpSelector::Select(const SubCollection& sub,
-                             const EntityExclusion* excluded) {
-  return SelectWithBound(sub, kInfiniteCost, excluded).entity;
-}
-
-KlpSelection KlpSelector::SelectWithBound(const SubCollection& sub,
-                                          Cost upper_limit,
-                                          const EntityExclusion* excluded) {
-  // effective_k() == options_.k at effort 0, so the undegraded path is
-  // byte-identical to pre-effort behavior (including memo keys).
-  return core_.Select(sub, effective_k(), upper_limit, excluded);
 }
 
 }  // namespace setdisc

@@ -16,32 +16,28 @@
 ///    the partition level, so it rides on enable_memoization)
 ///  * beam limits q (k-LPLE) / variable beam (k-LPLVE)
 ///
-/// One recursion, three cost models. LookaheadCore<Model>::SelectImpl is
-/// the only Algorithm 1 recursion in the tree; a cost model supplies what
-/// really differs between metrics — node totals and per-candidate split
-/// sums, LB_0 / LB_1 / Combine and the two child upper limits, the
-/// candidate order and whether LB_1 is monotone in it, the leaf pick, and
-/// what a child that returns no entity means. CountCost covers AD and H
-/// (cost.h, counts only); WeightedCost (weighted_klp.h) covers the §7 prior
-/// (quantized mass plus the Shannon floor). Everything else is shared: the
-/// memo, the beam, the duplicate-partition skip, DeltaHint child
-/// derivation, the top-level DeltaCounter and lookahead-reuse seeding. The
-/// model is a template parameter, so the count models' hot loops carry no
-/// per-candidate indirect call.
+/// One recursion, three cost models: LookaheadSelector<Model>::SelectImpl
+/// is the only Algorithm 1 recursion in the tree. The model supplies what
+/// differs — node totals and split sums, LB_0 / LB_1 / Combine and the child
+/// upper limits, the scan order and whether LB_1 is monotone in it, the leaf
+/// pick, and what a child with no entity means. CountCost covers AD and H
+/// (counts only); WeightedCost (weighted_klp.h) covers the §7 prior. The
+/// memo, beam, duplicate skip, DeltaHint child derivation, top-level
+/// DeltaCounter and lookahead-reuse seeding are shared. The model is a
+/// template parameter, so no per-candidate call is indirect.
 ///
 /// The last lookahead level (a k = 1 child reached through a DeltaHint) is
-/// one fused scan with no memo entry — leaves bypass the memo, since the
-/// scan costs less than copying and hashing the child's id vector. For the
-/// count models the most-even entity of the child is found straight from
-/// the smaller half's dense counts and the parent's most-even list; the
-/// weighted model sums the child's own sets once.
+/// one fused scan with no memo entry: cheaper than copying and hashing the
+/// child's id vector. The count models read the smaller half's dense counts
+/// and the parent's most-even list; the weighted model sums the child's own
+/// sets once.
 ///
 /// Cost bookkeeping is exact-integer (see cost.h), which Lemma 4.4's safety
-/// argument requires. Integer sums (counts, quantized mass) may be derived
-/// by subtraction anywhere. The weighted model's Σ qw·log2(qw) is a double
-/// that feeds floor(), so it is the one quantity never derived across
-/// nodes: every node accumulates it directly over its own sets in ascending
-/// set-id order, or a bound could move by one at an integer boundary.
+/// argument requires; integer sums (counts, quantized mass) may be derived
+/// by subtraction. The weighted Σ qw·log2(qw) is a double that feeds
+/// floor(), so it is never derived across nodes: each node accumulates it
+/// over its own sets in ascending set-id order, or a bound could move by
+/// one at an integer boundary.
 
 #include <memory>
 #include <span>
@@ -146,69 +142,67 @@ LeafPick MostEvenLargerHalf(std::span<const EntityCount> parent,
                             uint64_t small_n, uint64_t n,
                             uint64_t stop_imbalance);
 
-/// What a lookahead child needs to derive its counts from its parent
-/// node's instead of recounting (Algorithm 1's recursion counts BOTH halves
-/// of every candidate partition — this collapses that to one dense scan of
-/// the smaller half per candidate, shared by the two children, with no sort
-/// and no list emission). Built per candidate in the parent's loop;
-/// materialized lazily so a child that memo-hits never triggers the scan.
+/// What a lookahead child needs to derive its counts from its parent's
+/// instead of recounting: Algorithm 1 counts BOTH halves of every candidate
+/// partition, and this makes it one lazy dense scan of the smaller half,
+/// shared by the two children (a memo hit never triggers it).
 template <class Candidate>
 struct DeltaHint {
-  /// The parent node's candidate counts in ascending entity order (before
-  /// the sort) — informative for the parent, exclusion-filtered.
+  /// The parent's informative, exclusion-filtered counts, ascending.
   const std::vector<EntityCount>* parent_asc;
-  /// The parent's candidates in its scan order (most-even first when
-  /// sort_candidates is on), which a count model's larger-half leaf walks
-  /// so it can stop early.
+  /// The parent's candidates in scan order (a larger-half leaf walks it).
   const std::vector<Candidate>* parent_order;
   /// The smaller partition half by set count (ties: the containing half).
   const SubCollection* small;
-  /// The parent level's counter; lazily holds CountDense(*small), which
-  /// both children read by O(1) dense lookup while walking parent_asc.
-  EntityCounter* counter;
-  bool* dense_valid;
+  EntityCounter* counter;  ///< the parent level's; holds *small's counts
+  bool* dense_valid;       ///< whether it already does
+
+  /// CountDense(*small) on first use; both children read it by O(1) dense
+  /// lookup while walking the parent's lists.
+  const EntityCounter& SmallCounts() const {
+    if (!*dense_valid) {
+      counter->CountDense(*small);
+      *dense_valid = true;
+    }
+    return *counter;
+  }
+};
+
+/// LB_0 of the two halves of one candidate's split.
+struct SplitLb0 {
+  Cost lb0_in;
+  Cost lb0_out;
 };
 
 /// The AD and H cost models: every bound is a function of set counts alone
-/// (cost.h). Candidates are the count list itself, ordered by imbalance, in
-/// which LB_1 is monotone — so the sorted early break ends the loop.
+/// (cost.h). The candidates are the count list itself.
 class CountCost {
  public:
   using Candidate = EntityCount;
   struct Node {
     uint64_t n;
   };
-  /// LB_0 of the two halves of one candidate's split.
-  struct Split {
-    Cost lb0_in;
-    Cost lb0_out;
-  };
-  /// LB_1 is non-decreasing along the scan order: the early break may end
-  /// the loop instead of skipping one candidate.
+  /// LB_1 is non-decreasing in the most-even order: the early break ends
+  /// the loop. A child with no entity below its limit drops the candidate.
+  /// The candidates are the count list, sorted in place (the top-level
+  /// DeltaCounter can serve that order). Bounds are symmetric in the
+  /// halves, so the duplicate skip also matches swapped halves.
   static constexpr bool kMonotoneLb1 = true;
-  /// A child that returns no entity drops the candidate (see WeightedCost).
   static constexpr bool kNoEntityFallsBackToLb0 = false;
-  /// The top-level DeltaCounter can serve the scan order (its retained
-  /// (count, entity) list), so no sort is needed on the session path.
-  static constexpr bool kOrderFromCounts = true;
-  /// Every bound is symmetric in the two halves, so the duplicate-partition
-  /// skip may also match a split whose halves are swapped.
+  static constexpr bool kCandidatesAreCounts = true;
   static constexpr bool kSwappedHalvesAlike = true;
 
   explicit CountCost(CostMetric metric) : metric_(metric) {}
-  CostMetric metric() const { return metric_; }
 
   Node MakeNode(const SubCollection& sub) const { return {sub.size()}; }
   Cost Lb0(const Node& node) const { return setdisc::Lb0(metric_, node.n); }
-  /// The candidate list is the count list.
-  std::vector<EntityCount>& Weigh(const SubCollection& sub, const Node& node,
+  std::vector<EntityCount>& Weigh(const SubCollection&, const Node&,
                                   std::vector<EntityCount>* counts,
-                                  std::vector<EntityCount>* scratch) {
-    (void)sub, (void)node, (void)scratch;
+                                  std::vector<EntityCount>*) {
     return *counts;
   }
   void Sort(const Node& node, std::vector<EntityCount>* candidates) const;
-  Split SplitOf(const Node& node, const EntityCount& c) const {
+  SplitLb0 SplitOf(const Node& node, const EntityCount& c) const {
     return {setdisc::Lb0(metric_, c.count),
             setdisc::Lb0(metric_, node.n - c.count)};
   }
@@ -221,14 +215,12 @@ class CountCost {
   Cost UpperLimitSecond(const Node& node, Cost best, Cost first) const {
     return setdisc::UpperLimitSecond(metric_, best, node.n, first);
   }
-  /// k = 1 base case over an ascending candidate list: the most even
-  /// partitioner (ties: lowest id) and its 1-step bound. The beam and the
-  /// limit do not apply (the caller compares the bound).
+  /// k = 1 over an ascending list: the most even partitioner (ties: lowest
+  /// id) and its 1-step bound; the caller compares it with the limit.
   KlpSelection PickLeaf(const Node& node, std::vector<EntityCount>* candidates,
                         Cost upper_limit, int beam) const;
-  /// The k = 1 base case of a hinted child in one scan: the child's
-  /// most-even informative entity (ties: lowest id) and its 1-step bound,
-  /// or kNoEntity when that bound does not go below `upper_limit`.
+  /// The same pick for a hinted child in one scan, from the smaller half's
+  /// dense counts; kNoEntity when its bound does not go below the limit.
   KlpSelection PickHintedLeaf(const SubCollection& sub, const Node& node,
                               Cost upper_limit,
                               const DeltaHint<EntityCount>& hint,
@@ -240,50 +232,59 @@ class CountCost {
   CostMetric metric_;
 };
 
-/// Algorithm 1 over a cost model (see the file comment): the recursion and
-/// all of its shared state — memo, per-level scratch, the top-level
-/// DeltaCounter and the lookahead-reuse snapshot. Instantiated in klp.cc
-/// for CountCost and WeightedCost.
+/// Algorithm 1 over a cost model (see the file comment) in the Υ
+/// interface, with all of its shared state. Instantiated in klp.cc for
+/// CountCost and WeightedCost.
 template <class Model>
-class LookaheadCore {
+class LookaheadSelector : public EntitySelector {
  public:
-  using Candidate = typename Model::Candidate;
+  /// `options.metric` is the model's business; the rest applies as is.
+  LookaheadSelector(Model model, const KlpOptions& options);
+  ~LookaheadSelector() override;
 
-  /// Uses every KlpOptions field but `k` (passed per Select) and `metric`
-  /// (the model's business).
-  LookaheadCore(Model model, const KlpOptions& options);
-  ~LookaheadCore();
-
-  /// Top-level Algorithm 1 call: selection plus its k-step bound under a
-  /// caller-supplied upper limit, with the node's pruning telemetry
-  /// published (KlpStats, setdisc_klp_* counters, the step's lookahead
-  /// note).
-  KlpSelection Select(const SubCollection& sub, int k, Cost upper_limit,
-                      const EntityExclusion* excluded);
-
-  /// Differential-counting hooks: the top-level counting pass of each
-  /// Select() chains across session steps through delta_counter_ — and when
-  /// the answered entity is the one this core just chose, its lookahead
-  /// already counted the smaller half of that split, so the next step's top
-  /// counts are seeded outright (SeedChild) and that count becomes a free
-  /// re-emit. Memo hits skip the chain, and the fingerprint check falls
-  /// back to a full count whenever it broke.
-  void NotePartition(const SubCollection& parent, EntityId e,
-                     bool kept_contains, const SubCollection& kept,
-                     SubCollection dropped);
-  void InvalidateCountState();
-  void ReleaseMemory();
+  const KlpStats& stats() const { return stats_; }
+  void ResetStats() { stats_.Reset(); }
 
   /// Drops all memoized results (e.g. between unrelated collections).
   void ClearCache() { cache_.clear(); }
   size_t cache_size() const { return cache_.size(); }
 
-  const KlpStats& stats() const { return stats_; }
-  void ResetStats() { stats_.Reset(); }
+  /// Differential-counting hooks: the top-level count chains across steps
+  /// through delta_counter_, and a partition on the entity just chosen is
+  /// seeded from the lookahead's own counts (SeedChild), making the next
+  /// count a free re-emit. A broken chain falls back to a full count.
+  void NotePartition(const SubCollection& parent, EntityId e,
+                     bool kept_contains, const SubCollection& kept,
+                     SubCollection dropped) override;
+  void InvalidateCountState() override;
+  void ReleaseMemory() override;
+
+  /// Full/delta/re-emit breakdown of the top-level (cross-step) counting.
   const DeltaCounterStats& counting_stats() const {
     return delta_counter_.stats();
   }
+
+  EntityId Select(const SubCollection& sub,
+                  const EntityExclusion* excluded = nullptr) override {
+    return Search(sub, kInfiniteCost, excluded).entity;
+  }
+
+  /// Effective lookahead depth: options.k less the effort level, >= 1.
+  int effective_k() const {
+    int k = options_.k - effort_;
+    return k < 1 ? 1 : k;
+  }
+
+ protected:
+  /// Top-level Algorithm 1 call at effective_k(), publishing the node's
+  /// pruning telemetry (KlpStats, setdisc_klp_* counters, lookahead note).
+  KlpSelection Search(const SubCollection& sub, Cost upper_limit,
+                      const EntityExclusion* excluded);
   const Model& model() const { return model_; }
+
+  KlpOptions options_;
+  /// Degradation level (0 = full effort); only KlpSelector sets it.
+  int effort_ = 0;
 
  private:
   struct MemoKey {
@@ -299,23 +300,15 @@ class LookaheadCore {
     EntityId entity;
     Cost bound;
   };
-  /// Per-recursion-level scratch (klp.cc).
-  struct LevelScratch;
+  struct LevelScratch;  ///< per recursion level (klp.cc)
+  using Candidate = typename Model::Candidate;
   using Hint = DeltaHint<Candidate>;
 
   KlpSelection SelectImpl(const SubCollection& sub, int k, Cost upper_limit,
                           bool top, const EntityExclusion* excluded,
                           NodeStats* node_stats, const Hint* hint);
 
-  /// Fills `counts` with what CountInformative(sub, excluded) would emit,
-  /// using the hint: count the smaller half once (lazily), then either
-  /// filter it (we are the smaller half) or subtract it from the parent's
-  /// list (we are the larger).
-  static void MaterializeFromHint(const SubCollection& sub, const Hint& hint,
-                                  std::vector<EntityCount>* counts);
-
   Model model_;
-  KlpOptions options_;
   /// Counting for recursion nodes with no hint (differential counting off).
   EntityCounter counter_;
   /// Top-level cross-step counting state; recursion levels use the
@@ -338,21 +331,19 @@ class LookaheadCore {
   bool best_small_valid_ = false;
 };
 
-extern template class LookaheadCore<CountCost>;
+extern template class LookaheadSelector<CountCost>;
 
-/// The k-LP selector family (Algorithm 1 wrapped in the Υ interface).
-class KlpSelector : public EntitySelector {
+/// The k-LP selector family over the AD and H metrics.
+class KlpSelector : public LookaheadSelector<CountCost> {
  public:
   explicit KlpSelector(KlpOptions options);
-  ~KlpSelector() override;
-
-  EntityId Select(const SubCollection& sub,
-                  const EntityExclusion* excluded = nullptr) override;
 
   /// Full Algorithm 1 entry point: selection plus its k-step bound, with a
   /// caller-supplied upper limit (kInfiniteCost for unconstrained).
   KlpSelection SelectWithBound(const SubCollection& sub, Cost upper_limit,
-                               const EntityExclusion* excluded = nullptr);
+                               const EntityExclusion* excluded = nullptr) {
+    return Search(sub, upper_limit, excluded);
+  }
 
   std::string_view name() const override { return name_; }
   const KlpOptions& options() const { return options_; }
@@ -366,12 +357,6 @@ class KlpSelector : public EntitySelector {
   /// transition because k is part of the memo key.
   void SetEffort(int level) override { effort_ = level < 0 ? 0 : level; }
   int effort() const { return effort_; }
-
-  /// Effective lookahead depth under the current effort level.
-  int effective_k() const {
-    int k = options_.k - effort_;
-    return k < 1 ? 1 : k;
-  }
 
   /// Mixes the effective depth in whenever degradation actually changes it,
   /// so shared SelectionCache entries written by a degraded session are
@@ -387,33 +372,8 @@ class KlpSelector : public EntitySelector {
     return fp;
   }
 
-  const KlpStats& stats() const { return core_.stats(); }
-  void ResetStats() { core_.ResetStats(); }
-
-  /// Drops all memoized results (e.g. between unrelated collections).
-  void ClearCache() { core_.ClearCache(); }
-  size_t cache_size() const { return core_.cache_size(); }
-
-  /// Differential-counting hooks (LookaheadCore::NotePartition).
-  void NotePartition(const SubCollection& parent, EntityId e,
-                     bool kept_contains, const SubCollection& kept,
-                     SubCollection dropped) override {
-    core_.NotePartition(parent, e, kept_contains, kept, std::move(dropped));
-  }
-  void InvalidateCountState() override { core_.InvalidateCountState(); }
-  void ReleaseMemory() override { core_.ReleaseMemory(); }
-
-  /// Full/delta/re-emit breakdown of the top-level (cross-step) counting.
-  const DeltaCounterStats& counting_stats() const {
-    return core_.counting_stats();
-  }
-
  private:
-  KlpOptions options_;
   std::string name_;
-  /// Current degradation level (0 = full effort); see SetEffort().
-  int effort_ = 0;
-  LookaheadCore<CountCost> core_;
 };
 
 }  // namespace setdisc

@@ -27,20 +27,7 @@ struct MoreWeightEven {
   }
 };
 
-KlpOptions AsKlpOptions(const WeightedKlpOptions& options) {
-  KlpOptions o;
-  o.k = options.k;
-  o.beam_width = options.beam_width;
-  o.enable_early_break = options.enable_early_break;
-  o.enable_upper_limits = options.enable_upper_limits;
-  o.enable_memoization = options.enable_memoization;
-  o.enable_delta_counting = options.enable_delta_counting;
-  return o;
-}
-
 }  // namespace
-
-// ------------------------------------------------------------- WeightedCost
 
 WeightedCost::WeightedCost(const std::vector<double>* weights,
                            uint64_t resolution) {
@@ -82,7 +69,6 @@ void WeightedCost::Accumulate(const SubCollection& sub) {
   const SetCollection& collection = sub.collection();
   if (sums_.size() < collection.universe_size()) {
     sums_.AllocateZeroed(collection.universe_size());
-    epoch_ = 0;
   }
   if (++epoch_ == 0) {  // stamp wrap-around: invalidate everything
     for (size_t e = 0; e < sums_.size(); ++e) sums_[e].stamp = 0;
@@ -108,9 +94,8 @@ void WeightedCost::Accumulate(const SubCollection& sub) {
 }
 
 std::vector<WeightedCost::Candidate>& WeightedCost::Weigh(
-    const SubCollection& sub, const Node& node,
+    const SubCollection& sub, const Node& /*node*/,
     std::vector<EntityCount>* counts, std::vector<Candidate>* out) {
-  (void)node;
   Accumulate(sub);
   out->resize(counts->size());
   for (size_t i = 0; i < counts->size(); ++i) {
@@ -145,7 +130,7 @@ KlpSelection WeightedCost::PickLeaf(const Node& node,
   EntityId best_entity = kNoEntity;
   Cost best_imb = 0;
   for (const Candidate& cand : *candidates) {
-    const Split split = SplitOf(node, cand);
+    const SplitLb0 split = SplitOf(node, cand);
     const Cost l = Combine(node, split.lb0_in, split.lb0_out);
     const Cost imb = WeightImbalance(cand.weight_in, node.weight);
     if (l < best ||
@@ -161,10 +146,9 @@ KlpSelection WeightedCost::PickLeaf(const Node& node,
 
 KlpSelection WeightedCost::PickHintedLeaf(const SubCollection& sub,
                                           const Node& node, Cost upper_limit,
-                                          const DeltaHint<Candidate>& hint,
+                                          const DeltaHint<Candidate>& /*hint*/,
                                           const EntityExclusion* excluded,
-                                          int beam, bool sorted) {
-  (void)hint, (void)sorted;
+                                          int beam, bool /*sorted*/) {
   // The child's candidates are exactly what CountInformative would emit:
   // touched, not in every set, not excluded.
   Accumulate(sub);
@@ -184,43 +168,23 @@ void WeightedCost::Release() {
   leaf_ = {};
 }
 
-// ------------------------------------------------------ WeightedKlpSelector
-
 WeightedKlpSelector::WeightedKlpSelector(const std::vector<double>* weights,
                                          WeightedKlpOptions options)
-    : weights_(weights),
-      options_(options),
-      core_(WeightedCost(weights, options.weight_resolution),
-            AsKlpOptions(options)) {
-  SETDISC_CHECK(options_.k >= 1);
-  name_ = Format("Weighted-%d-LP", options_.k);
-}
-
-WeightedKlpSelector::~WeightedKlpSelector() = default;
-
-Cost WeightedKlpSelector::TotalWeight(const SubCollection& sub) const {
-  return core_.model().MakeNode(sub).weight;
-}
-
-Cost WeightedKlpSelector::WeightedLb0(const SubCollection& sub) const {
-  if (sub.size() <= 1) return 0;
-  return core_.model().Lb0(core_.model().MakeNode(sub));
-}
-
-EntityId WeightedKlpSelector::Select(const SubCollection& sub,
-                                     const EntityExclusion* excluded) {
-  return SelectWithBound(sub, kInfiniteCost, excluded).entity;
+    : LookaheadSelector(WeightedCost(weights, options.weight_resolution),
+                        {.k = options.k,
+                         .beam_width = options.beam_width,
+                         .enable_early_break = options.enable_early_break,
+                         .enable_upper_limits = options.enable_upper_limits,
+                         .enable_memoization = options.enable_memoization,
+                         .enable_delta_counting =
+                             options.enable_delta_counting}),
+      weights_(weights),
+      name_(Format("Weighted-%d-LP", options.k)) {
+  SETDISC_CHECK(options.k >= 1);
 }
 
 uint64_t WeightedKlpSelector::DecisionFingerprint() const {
   return FingerprintWeights(FingerprintString(name()), *weights_);
-}
-
-WeightedSelection WeightedKlpSelector::SelectWithBound(
-    const SubCollection& sub, Cost upper_limit,
-    const EntityExclusion* excluded) {
-  const KlpSelection r = core_.Select(sub, options_.k, upper_limit, excluded);
-  return {r.entity, r.bound};
 }
 
 Cost WeightedLbKReference(const SubCollection& sub,

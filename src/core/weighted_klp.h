@@ -22,18 +22,13 @@
 ///   Combine_w(c1, c2, W) = c1 + c2 + W,  UL_w analogous to Eqs. 11-14.
 /// The entropy chain rule gives LB1_w(e) = W·H(C) − W·h2(W1/W) + W, which
 /// in real arithmetic decreases with the *weighted* split evenness; the
-/// search scans candidates most weight-even first, but flooring each half
-/// can reorder near-ties, so the line-14 check skips one candidate instead
-/// of ending the loop.
+/// floors can reorder near-ties, so the line-14 check skips a candidate
+/// instead of ending the loop.
 ///
-/// The search itself is klp.h's LookaheadCore — the one Algorithm 1
-/// recursion — run over WeightedCost below, so the weighted selector shares
-/// k-LP's memo, duplicate-partition skip, differential counting and
-/// pruning telemetry. What stays here is the cost model: the prior's
-/// quantized tables and the bound math over them. Its one precision rule:
-/// Σ qw·log2(qw) is a double that feeds floor(), so every node sums it over
-/// its own sets in ascending set-id order and never derives it from a
-/// parent's sums (integer mass may be subtracted freely).
+/// The search is klp.h's one Algorithm 1 recursion (LookaheadSelector) run
+/// over WeightedCost, sharing k-LP's memo, duplicate-partition skip,
+/// differential counting and pruning telemetry; this file holds the cost
+/// model: the prior's quantized tables and the bound math over them.
 
 #include <string>
 #include <string_view>
@@ -72,39 +67,31 @@ struct WeightedSelection {
   Cost bound = kInfiniteCost;
 };
 
-/// The prior's cost model for LookaheadCore (klp.h). Every bound comes from
-/// three sums over a view's sets — count, quantized mass, and Σ qw·log2(qw)
-/// — so a candidate's 1-step bound costs O(1) once its split sums are known:
-/// both halves' sizes, weights and Shannon floors follow from the
-/// candidate's contained sums and the node's totals.
+/// The prior's cost model. Every bound comes from three sums over a view's
+/// sets — count, quantized mass and Σ qw·log2(qw) — so a candidate's 1-step
+/// bound is O(1) from its contained sums and the node's totals.
 class WeightedCost {
  public:
   struct Candidate {
     EntityId entity;
     uint32_t count;
     Cost weight_in;  ///< quantized mass of the sets containing `entity`
-    double qlog_in;  ///< their Σ qw·log2(qw), in ascending set order
+    double qlog_in;  ///< their Σ qw·log2(qw), summed here (see klp.h)
   };
   struct Node {
     uint64_t n;
     Cost weight;  ///< total quantized mass W
     double qlog;  ///< Σ qw·log2(qw) over the node's sets
   };
-  struct Split {
-    Cost lb0_in;
-    Cost lb0_out;
-  };
-  /// LB1_w is not monotone in the scan order: skip, don't break.
   static constexpr bool kMonotoneLb1 = false;
   /// A child with no entity while upper limits are off (only possible under
-  /// exclusions) stands at its Shannon floor; WeightedLbKReference's
-  /// exhaustive search relies on it.
+  /// exclusions) stands at its Shannon floor, as WeightedLbKReference's
+  /// exhaustive search expects.
   static constexpr bool kNoEntityFallsBackToLb0 = true;
-  static constexpr bool kOrderFromCounts = false;
-  /// The out-half's Shannon floor is derived by subtracting a double, so a
-  /// split with its halves swapped can round across an integer where the
-  /// original did not: the duplicate-partition skip matches only a repeat
-  /// with the same containing half (identical sums, identical bounds).
+  static constexpr bool kCandidatesAreCounts = false;
+  /// The out-half's floor subtracts a double, so swapped halves can round
+  /// across an integer: the duplicate skip matches only a repeat with the
+  /// same containing half (identical sums, identical bounds).
   static constexpr bool kSwappedHalvesAlike = false;
 
   /// Quantizes `weights` (indexed by SetId; must outlive the model) so the
@@ -123,14 +110,13 @@ class WeightedCost {
   Cost Lb0(const Node& node) const {
     return Lb0FromSums(node.weight, node.qlog);
   }
-  /// Fills `out` with the split sums of every entry of `counts` (one dense
-  /// pass over the view's sets) and returns it.
+  /// The split sums of every entry of `counts`, in `out`.
   std::vector<Candidate>& Weigh(const SubCollection& sub, const Node& node,
                                 std::vector<EntityCount>* counts,
                                 std::vector<Candidate>* out);
   /// Most weight-even first (ties: lowest id).
   void Sort(const Node& node, std::vector<Candidate>* candidates) const;
-  Split SplitOf(const Node& node, const Candidate& c) const {
+  SplitLb0 SplitOf(const Node& node, const Candidate& c) const {
     const uint64_t c2 = node.n - c.count;
     return {c.count <= 1 ? 0 : Lb0FromSums(c.weight_in, c.qlog_in),
             c2 <= 1 ? 0
@@ -146,15 +132,13 @@ class WeightedCost {
   Cost UpperLimitSecond(const Node& node, Cost best, Cost first) const {
     return best - node.weight - first;
   }
-  /// k = 1 base case: the lexicographic minimum of (1-step bound, weight
-  /// imbalance, entity) among the q most weight-even candidates (all when
-  /// beam <= 0) whose bound goes below `upper_limit`; kNoEntity with the
-  /// limit otherwise. Order-independent, so no sort is needed.
+  /// k = 1: the minimum (1-step bound, weight imbalance, entity) among the
+  /// q most weight-even candidates (all when beam <= 0) whose bound goes
+  /// below `upper_limit`; kNoEntity with the limit otherwise.
   KlpSelection PickLeaf(const Node& node, std::vector<Candidate>* candidates,
                         Cost upper_limit, int beam) const;
-  /// The same pick for a lookahead child, from one pass over its own sets
-  /// (which its Σ qw·log2(qw) needs anyway) instead of a counting pass plus
-  /// a weighing pass; the hint is not needed.
+  /// The same pick for a lookahead child from one pass over its own sets,
+  /// which its Σ qw·log2(qw) needs anyway; the hint is not used.
   KlpSelection PickHintedLeaf(const SubCollection& sub, const Node& node,
                               Cost upper_limit,
                               const DeltaHint<Candidate>& hint,
@@ -164,9 +148,8 @@ class WeightedCost {
   void Release();
 
  private:
-  /// One dense pass over the view's sets: per touched entity, the count,
-  /// quantized mass and Σ qw·log2(qw) of the sets containing it, added in
-  /// ascending set order. Epoch-stamped so the array never needs clearing.
+  /// One pass over the view's sets: per touched entity, the count, mass
+  /// and Σ qw·log2(qw) of the sets containing it, in ascending set order.
   void Accumulate(const SubCollection& sub);
 
   struct Sums {
@@ -176,38 +159,34 @@ class WeightedCost {
     double qlog;
   };
 
-  /// Per-set quantized weight and qw·log2(qw), fixed at construction (the
-  /// prior is immutable): the bound math never recomputes llround or log2
-  /// per call.
+  /// Per-set quantized weight and qw·log2(qw), fixed at construction.
   std::vector<Cost> quantized_;
   std::vector<double> weight_log_;
-  /// Accumulate's dense per-entity sums. Calloc'd (util/scratch_array.h),
-  /// so the stamps start at zero and a fresh selector faults in only the
-  /// pages a pass writes.
+  /// Accumulate's per-entity sums, epoch-stamped so they never need
+  /// clearing; calloc'd, so a fresh selector faults in only what it writes.
   ScratchArray<Sums> sums_;
   uint32_t epoch_ = 0;
   std::vector<EntityId> touched_;
   std::vector<Candidate> leaf_;  ///< PickHintedLeaf's candidate list
 };
 
-extern template class LookaheadCore<WeightedCost>;
+extern template class LookaheadSelector<WeightedCost>;
 
 /// Entity selection minimizing the k-step lower bound on expected questions
 /// under a set prior.
-class WeightedKlpSelector : public EntitySelector {
+class WeightedKlpSelector : public LookaheadSelector<WeightedCost> {
  public:
   /// `weights` is indexed by SetId over the parent collection and must
   /// outlive the selector; entries must be positive where used.
   WeightedKlpSelector(const std::vector<double>* weights,
                       WeightedKlpOptions options);
-  ~WeightedKlpSelector() override;
-
-  EntityId Select(const SubCollection& sub,
-                  const EntityExclusion* excluded = nullptr) override;
 
   WeightedSelection SelectWithBound(const SubCollection& sub,
                                     Cost upper_limit,
-                                    const EntityExclusion* excluded = nullptr);
+                                    const EntityExclusion* excluded = nullptr) {
+    const KlpSelection r = Search(sub, upper_limit, excluded);
+    return {r.entity, r.bound};
+  }
 
   std::string_view name() const override { return name_; }
 
@@ -215,42 +194,21 @@ class WeightedKlpSelector : public EntitySelector {
   uint64_t DecisionFingerprint() const override;
 
   /// Quantized weight of one set (>= 1).
-  Cost QuantizedWeight(SetId s) const {
-    return core_.model().QuantizedWeight(s);
-  }
+  Cost QuantizedWeight(SetId s) const { return model().QuantizedWeight(s); }
 
   /// Total quantized weight of a sub-collection.
-  Cost TotalWeight(const SubCollection& sub) const;
+  Cost TotalWeight(const SubCollection& sub) const {
+    return model().MakeNode(sub).weight;
+  }
 
   /// Shannon lower bound LB0_w in weighted-total-depth units.
-  Cost WeightedLb0(const SubCollection& sub) const;
-
-  /// Differential-counting hooks (LookaheadCore::NotePartition).
-  void NotePartition(const SubCollection& parent, EntityId e,
-                     bool kept_contains, const SubCollection& kept,
-                     SubCollection dropped) override {
-    core_.NotePartition(parent, e, kept_contains, kept, std::move(dropped));
+  Cost WeightedLb0(const SubCollection& sub) const {
+    return sub.size() <= 1 ? 0 : model().Lb0(model().MakeNode(sub));
   }
-  void InvalidateCountState() override { core_.InvalidateCountState(); }
-  void ReleaseMemory() override { core_.ReleaseMemory(); }
-
-  /// Full/delta/re-emit breakdown of the top-level counting passes.
-  const DeltaCounterStats& counting_stats() const {
-    return core_.counting_stats();
-  }
-
-  /// Pruning statistics (Table 4), as KlpSelector::stats().
-  const KlpStats& stats() const { return core_.stats(); }
-
-  /// Drops the (ids, k) memo only — benches clear it between conversations
-  /// so the uncached counting cost is what gets measured.
-  void ClearCache() { core_.ClearCache(); }
 
  private:
   const std::vector<double>* weights_;
-  WeightedKlpOptions options_;
   std::string name_;
-  LookaheadCore<WeightedCost> core_;
 };
 
 /// Unpruned exhaustive weighted k-step bound — the test reference for the
