@@ -16,11 +16,15 @@
 // meaningless (and the CI smoke relies on the abort). The MostEven, 2-LP
 // and Weighted-2-LP rows also carry fresh_first_us: the median first
 // question of a newly built selector, which the reused selectors of the
-// per-step columns never pay.
+// per-step columns never pay. The manager sessions/sec section runs in a
+// forked child process, so the per-step rows before it cannot move it.
 //
 // --json prints the machine-readable document to stdout (tables go to
 // stderr); the committed BENCH_counting.json is this bench's output at
 // paper scale, the baseline future PRs trend against.
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <future>
@@ -336,41 +340,80 @@ int main(int argc, char** argv) {
 
   // ----------------------------------------------- manager sessions/sec
   // (delta composes with the pool: one session's counting overlaps others')
+  // Timed in a forked child, so what the per-step rows left behind in this
+  // process (allocator state, warmed scratch) cannot move the number: the
+  // child runs the section and writes its two rates over a pipe, and the
+  // parent fails on a nonzero child exit or a short read.
   {
     const int rounds = ScalePick<int>(4, 8, 8);
     const int num_sessions =
         rounds * static_cast<int>(w.subcollections.size());
     out << "sessions/sec through the SessionManager (" << num_sessions
-        << " 2-LP conversations, " << threads << " pool threads):\n";
+        << " 2-LP conversations, " << threads
+        << " pool threads, own process):\n";
     TablePrinter table({"full sess/sec", "delta sess/sec", "speedup"});
     double rates[2];
-    for (bool differential : {false, true}) {
-      SessionManagerOptions manager_options;
-      manager_options.discovery = options;
-      manager_options.num_threads = threads;
-      manager_options.selector_factory = [differential] {
-        KlpOptions o = KlpOptions::MakeKlp(2, CostMetric::kAvgDepth);
-        o.enable_delta_counting = differential;
-        return std::make_unique<KlpSelector>(o);
-      };
-      SessionManager manager(w.corpus, idx, manager_options);
-      WallTimer timer;
-      std::vector<std::future<bool>> jobs;
-      jobs.reserve(num_sessions);
-      for (int i = 0; i < num_sessions; ++i) {
-        const SeedPairEntry& entry =
-            w.subcollections[i % w.subcollections.size()];
-        SetId target = entry.set_ids[(i * 7919 + 13) % entry.set_ids.size()];
-        jobs.push_back(manager.pool().Submit([&manager, &w, &entry, target] {
-          SimulatedOracle oracle(&w.corpus, target);
-          std::vector<EntityId> initial = {entry.a, entry.b};
-          SessionView view = manager.Drive(manager.Create(initial), oracle);
-          manager.Close(view.id);
-          return view.state == SessionState::kFinished;
-        }));
+    int pipe_fds[2];
+    if (pipe(pipe_fds) != 0) {
+      std::cerr << "FATAL: pipe() failed for the sessions/sec section\n";
+      return 1;
+    }
+    const pid_t child = fork();
+    if (child < 0) {
+      std::cerr << "FATAL: fork() failed for the sessions/sec section\n";
+      return 1;
+    }
+    if (child == 0) {
+      close(pipe_fds[0]);
+      for (bool differential : {false, true}) {
+        SessionManagerOptions manager_options;
+        manager_options.discovery = options;
+        manager_options.num_threads = threads;
+        manager_options.selector_factory = [differential] {
+          KlpOptions o = KlpOptions::MakeKlp(2, CostMetric::kAvgDepth);
+          o.enable_delta_counting = differential;
+          return std::make_unique<KlpSelector>(o);
+        };
+        SessionManager manager(w.corpus, idx, manager_options);
+        WallTimer timer;
+        std::vector<std::future<bool>> jobs;
+        jobs.reserve(num_sessions);
+        for (int i = 0; i < num_sessions; ++i) {
+          const SeedPairEntry& entry =
+              w.subcollections[i % w.subcollections.size()];
+          SetId target =
+              entry.set_ids[(i * 7919 + 13) % entry.set_ids.size()];
+          jobs.push_back(manager.pool().Submit([&manager, &w, &entry, target] {
+            SimulatedOracle oracle(&w.corpus, target);
+            std::vector<EntityId> initial = {entry.a, entry.b};
+            SessionView view = manager.Drive(manager.Create(initial), oracle);
+            manager.Close(view.id);
+            return view.state == SessionState::kFinished;
+          }));
+        }
+        for (auto& job : jobs) job.get();
+        rates[differential ? 1 : 0] = num_sessions / timer.Seconds();
       }
-      for (auto& job : jobs) job.get();
-      rates[differential ? 1 : 0] = num_sessions / timer.Seconds();
+      const bool wrote =
+          write(pipe_fds[1], rates, sizeof(rates)) ==
+          static_cast<ssize_t>(sizeof(rates));
+      _exit(wrote ? 0 : 1);
+    }
+    close(pipe_fds[1]);
+    size_t got = 0;
+    while (got < sizeof(rates)) {
+      const ssize_t r = read(pipe_fds[0], reinterpret_cast<char*>(rates) + got,
+                             sizeof(rates) - got);
+      if (r <= 0) break;
+      got += static_cast<size_t>(r);
+    }
+    close(pipe_fds[0]);
+    int status = 0;
+    const bool reaped = waitpid(child, &status, 0) == child;
+    if (!reaped || !WIFEXITED(status) || WEXITSTATUS(status) != 0 ||
+        got != sizeof(rates)) {
+      std::cerr << "FATAL: the sessions/sec child process failed\n";
+      return 1;
     }
     table.AddRow({Format("%.1f", rates[0]), Format("%.1f", rates[1]),
                   Format("%.2fx", rates[1] / rates[0])});

@@ -90,8 +90,16 @@ void JourneyRing::Push(const Span& span) {
   Slot& slot = slots_[ticket % slots_.size()];
   // Seqlock write: stamp odd, copy words relaxed, stamp even. The stamps are
   // ticket-derived so a reader that raced a *completed* overwrite still sees
-  // the sequence change and retries/skips.
-  slot.seq.store(2 * ticket + 1, std::memory_order_relaxed);
+  // the sequence change and retries/skips. Tickets t and t + capacity share
+  // a slot, so the odd stamp is claimed, not stored: only from a stable
+  // stamp of an older ticket. A slot mid-write, or already holding a newer
+  // ticket, is abandoned — two writers never copy at once, and an older one
+  // never rewinds the stamp.
+  uint64_t stamp = slot.seq.load(std::memory_order_relaxed);
+  do {
+    if (stamp % 2 != 0 || stamp > 2 * ticket) return;
+  } while (!slot.seq.compare_exchange_weak(stamp, 2 * ticket + 1,
+                                           std::memory_order_relaxed));
   // Fence-to-fence pairing with Snapshot's acquire fence: a reader that sees
   // any of the data words below also sees the odd stamp above, so it cannot
   // validate a torn read.

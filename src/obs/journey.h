@@ -9,12 +9,13 @@
 /// spans and the server's share one tree.
 ///
 /// Spans land in a process-wide lock-free bounded ring (JourneyRing): Push
-/// is a ticket fetch_add plus ~25 relaxed atomic word stores guarded by a
-/// per-slot seqlock, so the serving hot path never takes a lock and readers
-/// (Snapshot, the --trace-export dump) skip slots they catch mid-write.
-/// Under extreme wrap contention (more concurrent writers than ring
-/// capacity apart) a slot can be abandoned — acceptable for a diagnostic
-/// ring, and the seqlock keeps every *returned* span internally consistent.
+/// is a ticket fetch_add, a CAS claim and ~25 relaxed atomic word stores
+/// guarded by a per-slot seqlock, so the serving hot path never takes a
+/// lock and readers (Snapshot, the --trace-export dump) skip slots they
+/// catch mid-write. Under extreme wrap contention (more concurrent writers
+/// than ring capacity apart) a span can be abandoned — acceptable for a
+/// diagnostic ring, and the seqlock keeps every *returned* span internally
+/// consistent.
 ///
 /// Trace context flows through a thread-local JourneyContext installed by
 /// the layer that knows the request boundary (the server's pool-job wrapper,
@@ -106,7 +107,9 @@ class JourneyRing {
   JourneyRing& operator=(const JourneyRing&) = delete;
 
   /// Records a span, overwriting the oldest when full. Lock-free: one
-  /// fetch_add ticket plus relaxed word stores under a per-slot seqlock.
+  /// fetch_add ticket, then a CAS claim of the slot and relaxed word stores
+  /// under its seqlock. A slot another writer holds mid-copy, or that a
+  /// newer ticket already filled, is abandoned (the span is dropped).
   void Push(const Span& span);
 
   /// Every readable span, oldest-ticket first. Slots caught mid-write (or
