@@ -11,6 +11,8 @@
 
 #include "core/bounds.h"
 #include "core/klp.h"
+#include "core/weighted_klp.h"
+#include "obs/registry.h"
 #include "obs/trace.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -489,6 +491,48 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(2, 3),
                        ::testing::Values(uint64_t{1}, uint64_t{2},
                                          uint64_t{3}, uint64_t{4})));
+
+// The weighted cost model runs on the same recursion, so it inherits the
+// duplicate-split skip and its telemetry: the same pick and bound as with
+// memoization (and so the skip) off, the process-wide duplicate counter
+// moved by what the top node skipped, and the step's lookahead note filled.
+TEST(DuplicateSplitParity, WeightedTwoLpSkipsRepeatedSplits) {
+  SetCollection c = DuplicateSplitCollection(7, 28, 21, 0.35);
+  SubCollection full = SubCollection::Full(&c);
+  Rng rng(7);
+  std::vector<double> weights(c.num_sets());
+  for (double& w : weights) w = 0.05 + rng.UniformDouble();
+  WeightedKlpOptions options;
+  options.k = 2;
+  // As for the count models, the early break usually ends the top-level
+  // loop before a repeated split comes up; without it every split does.
+  options.enable_early_break = false;
+  WeightedKlpOptions plain = options;
+  plain.enable_memoization = false;
+  WeightedKlpSelector reference(&weights, plain);
+  const WeightedSelection want = reference.SelectWithBound(full, kInfiniteCost);
+  EXPECT_EQ(reference.stats().totals.pruned_by_duplicate, 0u);
+
+  obs::Counter* const duplicates = obs::MetricsRegistry::Default().GetCounter(
+      "setdisc_klp_pruned_total", {{"reason", "duplicate"}});
+  const uint64_t before = duplicates->Value();
+  WeightedKlpSelector wklp(&weights, options);
+  obs::PhaseAccum accum;
+  WeightedSelection got;
+  {
+    obs::PhaseScope scope(&accum);
+    got = wklp.SelectWithBound(full, kInfiniteCost);
+  }
+  EXPECT_EQ(got.entity, want.entity);
+  EXPECT_EQ(got.bound, want.bound);
+  const NodeStats& node = wklp.stats().totals;
+  EXPECT_GT(node.pruned_by_duplicate, 0u);
+  EXPECT_EQ(duplicates->Value() - before, node.pruned_by_duplicate);
+  EXPECT_EQ(accum.lookahead.sets, full.size());
+  EXPECT_EQ(accum.lookahead.candidates, node.candidates);
+  EXPECT_EQ(accum.lookahead.evaluated, node.fully_evaluated);
+  EXPECT_EQ(accum.lookahead.duplicates, node.pruned_by_duplicate);
+}
 
 // ---------------------------------------------------------------------------
 // Lemma 4.4 safety sweep: pruned k-LP == unpruned exhaustive lookahead, on
