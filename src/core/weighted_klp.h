@@ -94,8 +94,8 @@ class WeightedCost {
   /// same containing half (identical sums, identical bounds).
   static constexpr bool kSwappedHalvesAlike = false;
 
-  /// Quantizes `weights` (indexed by SetId; must outlive the model) so the
-  /// largest maps to `resolution` units and every set keeps at least one.
+  /// Quantizes `weights` (indexed by SetId) so the largest maps to
+  /// `resolution` units and every set keeps at least one.
   WeightedCost(const std::vector<double>* weights, uint64_t resolution);
 
   /// Quantized weight of one set (>= 1; out-of-range ids weigh one unit).
