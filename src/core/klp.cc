@@ -491,10 +491,12 @@ KlpSelection LookaheadSelector<Model>::SelectImpl(
   // the "Optimal" configuration becomes a proper dynamic program.
   if (k > static_cast<int>(n)) k = static_cast<int>(n);
 
-  // Fast reject (pruning): every k-step bound is >= LB_0(C), so if the limit
-  // is already at or below LB_0 nothing can qualify.
+  // Fast reject (pruning): every k-step bound is >= LB_0(C) less the
+  // model's slack, so if the limit is already at or below that nothing can
+  // qualify.
   const typename Model::Node node = model_.MakeNode(sub);
-  if (options_.enable_upper_limits && upper_limit <= model_.Lb0(node)) {
+  if (options_.enable_upper_limits &&
+      upper_limit <= model_.Lb0(node) - Model::Lb0Slack(n)) {
     return {kNoEntity, upper_limit};
   }
 
@@ -631,10 +633,14 @@ KlpSelection LookaheadSelector<Model>::SelectImpl(
   for (size_t i = 0; i < limit; ++i) {
     const EntityId e = candidates[i].entity;
     const SplitLb0 split = model_.SplitOf(node, candidates[i]);
+    // The halves' sound floors: what no (k-1)-step value goes below.
+    const Cost floor_in = split.lb0_in - Model::Lb0Slack(candidates[i].count);
+    const Cost floor_out =
+        split.lb0_out - Model::Lb0Slack(n - candidates[i].count);
 
     // Line 14: prune by the 1-step bound (Lemma 4.4 with l = 1).
     if (options_.enable_early_break &&
-        model_.Combine(node, split.lb0_in, split.lb0_out) >= best) {
+        model_.Combine(node, floor_in, floor_out) >= best) {
       if (Model::kMonotoneLb1 && options_.sort_candidates) {
         // Sorted order: every remaining candidate is at least as bad.
         if (top && node_stats != nullptr) {
@@ -697,7 +703,7 @@ KlpSelection LookaheadSelector<Model>::SelectImpl(
       return true;
     };
     Cost l_in, l_out;
-    if (!half_bound(c_in, model_.UpperLimitFirst(node, best, split.lb0_out),
+    if (!half_bound(c_in, model_.UpperLimitFirst(node, best, floor_out),
                     split.lb0_in, &l_in) ||
         !half_bound(c_out, model_.UpperLimitSecond(node, best, l_in),
                     split.lb0_out, &l_out)) {

@@ -196,6 +196,9 @@ class CountCost {
 
   Node MakeNode(const SubCollection& sub) const { return {sub.size()}; }
   Cost Lb0(const Node& node) const { return setdisc::Lb0(metric_, node.n); }
+  /// How far a k-step value of a view of `n` sets may sit below its LB_0:
+  /// never, for the count bounds.
+  static constexpr Cost Lb0Slack(uint64_t /*n*/) { return 0; }
   std::vector<EntityCount>& Weigh(const SubCollection&, const Node&,
                                   std::vector<EntityCount>* counts,
                                   std::vector<EntityCount>*) {

@@ -110,6 +110,17 @@ class WeightedCost {
   Cost Lb0(const Node& node) const {
     return Lb0FromSums(node.weight, node.qlog);
   }
+  /// LB0 floors a view's Shannon sum once, but a k-step value floors each
+  /// node of its frontier separately. Each floor drops less than one unit
+  /// and the real sums chain (W·h2 <= W in Combine), so a k-step value can
+  /// sit below LB0 by about one unit per frontier node of two or more sets,
+  /// of which there are at most n/2 (a uniform prior over 6 sets split 3/3
+  /// already gives one). Pruning compares against LB0 less n units, which
+  /// also covers the rounding of the double sums. A view of at most one set
+  /// is exact.
+  static Cost Lb0Slack(uint64_t n) {
+    return n < 2 ? 0 : static_cast<Cost>(n);
+  }
   /// The split sums of every entry of `counts`, in `out`.
   std::vector<Candidate>& Weigh(const SubCollection& sub, const Node& node,
                                 std::vector<EntityCount>* counts,

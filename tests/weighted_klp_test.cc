@@ -90,17 +90,34 @@ TEST(WeightedKlp, RespectsExclusions) {
 
 // Pruning soundness: the pruned weighted search returns the same bound as
 // the exhaustive reference, across random collections, priors, and k.
+// Integer priors put many views' Shannon sums on integer boundaries, where
+// a node's once-floored LB0 sits above its halves' separately floored ones;
+// uniform priors are the even extreme of that.
+enum class Prior { kContinuous, kInteger, kUniform };
+
+void PrintTo(Prior prior, std::ostream* os) {
+  *os << (prior == Prior::kContinuous ? "continuous"
+          : prior == Prior::kInteger  ? "integer {1,2,3}"
+                                      : "uniform");
+}
+
 class WeightedPruningSweep
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<int, int, int, Prior>> {};
 
 TEST_P(WeightedPruningSweep, PrunedEqualsExhaustive) {
-  auto [n, k, weight_seed] = GetParam();
+  auto [n, k, weight_seed, prior] = GetParam();
   SetCollection c = RandomCollection(500 + n * 31 + weight_seed, n, 2 * n,
                                      0.4);
   SubCollection full = SubCollection::Full(&c);
   Rng rng(weight_seed);
   std::vector<double> weights(c.num_sets());
-  for (double& w : weights) w = 0.05 + rng.UniformDouble();
+  for (double& w : weights) {
+    switch (prior) {
+      case Prior::kContinuous: w = 0.05 + rng.UniformDouble(); break;
+      case Prior::kInteger: w = static_cast<double>(1 + rng.Uniform(3)); break;
+      case Prior::kUniform: w = 1.0; break;
+    }
+  }
 
   WeightedKlpOptions opts;
   opts.k = k;
@@ -113,9 +130,10 @@ TEST_P(WeightedPruningSweep, PrunedEqualsExhaustive) {
 
 INSTANTIATE_TEST_SUITE_P(
     RandomCollections, WeightedPruningSweep,
-    ::testing::Combine(::testing::Values(6, 10, 14),
-                       ::testing::Values(1, 2, 3),
-                       ::testing::Values(1, 2)));
+    ::testing::Combine(::testing::Values(6, 8, 10, 12, 14),
+                       ::testing::Values(1, 2, 3), ::testing::Range(1, 21),
+                       ::testing::Values(Prior::kContinuous, Prior::kInteger,
+                                         Prior::kUniform)));
 
 TEST(WeightedKlp, UniformPriorAgreesWithUnweightedSelectionQuality) {
   // With a uniform prior the weighted tree should be as good (in AD) as the
