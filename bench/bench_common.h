@@ -1,9 +1,8 @@
 #pragma once
 
-/// Shared helpers for the reproduction benches. Every bench binary prints
-/// the paper's reported numbers next to our measured values and scales its
-/// problem sizes with SETDISC_SCALE (quick | medium | full); see
-/// EXPERIMENTS.md for the paper-vs-measured record.
+/// Shared helpers for the benches. Every bench binary scales its problem
+/// sizes with SETDISC_SCALE (quick | medium | full); bench_paper.cc's file
+/// comment describes the paper-vs-measured record (BENCH_paper.json).
 
 #include <cstdint>
 #include <cstdio>
@@ -34,42 +33,6 @@ struct StrategySpec {
   std::string name;
   std::function<std::unique_ptr<EntitySelector>()> make;
 };
-
-/// The paper's reported configurations (§5.3.1): InfoGain baseline, k-LP
-/// with k=2, and k-LPLE / k-LPLVE with k=3, q=10.
-inline std::vector<StrategySpec> PaperStrategies(CostMetric metric) {
-  return {
-      {"InfoGain",
-       [] { return std::make_unique<InfoGainSelector>(); }},
-      {"2-LP",
-       [metric] {
-         return std::make_unique<KlpSelector>(KlpOptions::MakeKlp(2, metric));
-       }},
-      {"3-LPLE(q=10)",
-       [metric] {
-         return std::make_unique<KlpSelector>(
-             KlpOptions::MakeKlple(3, 10, metric));
-       }},
-      {"3-LPLVE(q=10)",
-       [metric] {
-         return std::make_unique<KlpSelector>(
-             KlpOptions::MakeKlplve(3, 10, metric));
-       }},
-  };
-}
-
-/// Builds a tree and returns (tree, seconds).
-struct TimedTree {
-  DecisionTree tree;
-  double seconds = 0.0;
-};
-
-inline TimedTree BuildTimed(const SubCollection& sub, EntitySelector& sel) {
-  WallTimer timer;
-  TimedTree out{DecisionTree::Build(sub, sel), 0.0};
-  out.seconds = timer.Seconds();
-  return out;
-}
 
 /// Standard banner: experiment id, paper reference, and active scale.
 inline void Banner(const std::string& experiment, const std::string& what,
@@ -122,28 +85,28 @@ class JsonReport {
   /// Builder for one row. Field order is preserved.
   class Row {
    public:
-    Row& Str(const char* key, std::string_view value) {
+    Row& Str(std::string_view key, std::string_view value) {
       Field(key) << '"' << Escaped(value) << '"';
       return *this;
     }
-    Row& Num(const char* key, double value) {
+    Row& Num(std::string_view key, double value) {
       char buf[32];
       std::snprintf(buf, sizeof(buf), "%.6g", value);
       Field(key) << buf;
       return *this;
     }
-    Row& Int(const char* key, int64_t value) {
+    Row& Int(std::string_view key, int64_t value) {
       Field(key) << value;
       return *this;
     }
-    Row& Bool(const char* key, bool value) {
+    Row& Bool(std::string_view key, bool value) {
       Field(key) << (value ? "true" : "false");
       return *this;
     }
 
    private:
     friend class JsonReport;
-    std::ostringstream& Field(const char* key) {
+    std::ostringstream& Field(std::string_view key) {
       if (!first_) out_ << ", ";
       first_ = false;
       out_ << '"' << Escaped(key) << "\": ";
@@ -193,15 +156,9 @@ class JsonReport {
   std::vector<std::string> rows_;
 };
 
-/// The simulated web-tables workload shared by Fig. 3 / Fig. 4a / §5.3.2.
-struct WebTablesWorkload {
-  SetCollection corpus;
-  std::vector<SeedPairEntry> subcollections;
-};
-
-inline WebTablesWorkload MakeWebTablesWorkload(size_t max_subcollections,
-                                               size_t min_sets = 100,
-                                               size_t truncate_to = 0) {
+/// The simulated web-tables corpus (§5.2.1) of bench_paper and
+/// bench_counting.
+inline SetCollection MakeWebTablesCorpus() {
   WebTablesConfig cfg;
   cfg.num_sets = ScalePick<uint32_t>(20000, 80000, 300000);
   cfg.num_domains = ScalePick<uint32_t>(400, 1200, 3000);
@@ -213,30 +170,17 @@ inline WebTablesWorkload MakeWebTablesWorkload(size_t max_subcollections,
   cfg.ambiguous_fraction = 0.12;
   cfg.noise_rate = 0.05;
   cfg.seed = 2024;
-  WebTablesWorkload w;
-  w.corpus = GenerateWebTables(cfg);
-  InvertedIndex index(w.corpus);
-  w.subcollections = ExtractSeedPairSubCollections(
-      w.corpus, index, min_sets, max_subcollections, /*seed=*/17);
-  // Optionally truncate each sub-collection to its first `truncate_to`
-  // candidate sets — used where an exhaustive comparator (gain-k) must
-  // finish (documented in EXPERIMENTS.md).
-  if (truncate_to > 0) {
-    for (auto& entry : w.subcollections) {
-      if (entry.set_ids.size() > truncate_to) {
-        entry.set_ids.resize(truncate_to);
-      }
-    }
-  }
-  return w;
+  return GenerateWebTables(cfg);
 }
 
-/// Count of distinct entities within a sub-collection (its local universe).
-inline size_t DistinctEntities(const SubCollection& sub) {
-  EntityCounter counter;
-  std::vector<EntityCount> counts;
-  counter.CountAll(sub, &counts);
-  return counts.size();
+/// Up to `max_subcollections` seed-pair sub-collections of at least
+/// `min_sets` sets, drawn with one fixed seed.
+inline std::vector<SeedPairEntry> SeedPairs(const SetCollection& corpus,
+                                            const InvertedIndex& index,
+                                            size_t max_subcollections,
+                                            size_t min_sets = 100) {
+  return ExtractSeedPairSubCollections(corpus, index, min_sets,
+                                       max_subcollections, /*seed=*/17);
 }
 
 }  // namespace setdisc::bench

@@ -233,8 +233,10 @@ int main(int argc, char** argv) {
   Banner("counting", "differential vs full-recount counting", out);
 
   const int num_conversations = ScalePick<int>(12, 24, 48);
-  WebTablesWorkload w = MakeWebTablesWorkload(num_conversations);
-  InvertedIndex idx(w.corpus);
+  const SetCollection corpus = MakeWebTablesCorpus();
+  InvertedIndex idx(corpus);
+  const std::vector<SeedPairEntry> subcollections =
+      SeedPairs(corpus, idx, num_conversations);
   const size_t threads = [] {
     const char* env = std::getenv("SETDISC_BENCH_THREADS");
     if (env != nullptr && std::atoi(env) > 0) {
@@ -244,14 +246,14 @@ int main(int argc, char** argv) {
     return hw == 0 ? 8 : hw;
   }();
   size_t sub_sets = 0;
-  for (const SeedPairEntry& entry : w.subcollections) {
+  for (const SeedPairEntry& entry : subcollections) {
     sub_sets += entry.set_ids.size();
   }
-  out << "corpus: " << w.corpus.num_sets() << " sets, "
-      << w.corpus.num_distinct_entities() << " entities, "
-      << w.corpus.total_elements() << " incidences; "
-      << w.subcollections.size() << " seed-pair conversations, avg "
-      << sub_sets / w.subcollections.size() << " candidate sets; manager "
+  out << "corpus: " << corpus.num_sets() << " sets, "
+      << corpus.num_distinct_entities() << " entities, "
+      << corpus.total_elements() << " incidences; "
+      << subcollections.size() << " seed-pair conversations, avg "
+      << sub_sets / subcollections.size() << " candidate sets; manager "
       << "pool: " << threads << " threads\n\n";
 
   DiscoveryOptions options;
@@ -259,7 +261,7 @@ int main(int argc, char** argv) {
 
   // Skewed prior for the §7 weighted configurations: most sets carry small
   // uniform mass, a few carry most of it.
-  std::vector<double> weights(w.corpus.num_sets());
+  std::vector<double> weights(corpus.num_sets());
   {
     Rng wrng(4242);
     for (double& x : weights) x = 0.05 + wrng.UniformDouble();
@@ -293,7 +295,7 @@ int main(int argc, char** argv) {
       auto delta_sel = spec.make(/*differential=*/true);
       auto runner = [&](EntitySelector* sel) {
         return Runner{[&, sel](std::span<const EntityId> initial) {
-                        return DiscoverySession(w.corpus, idx, initial, *sel,
+                        return DiscoverySession(corpus, idx, initial, *sel,
                                                 options);
                       },
                       [&, sel] {
@@ -301,7 +303,7 @@ int main(int argc, char** argv) {
                       }};
       };
       const PairedTiming t =
-          RunPaired(w.corpus, w.subcollections, dont_know_rate,
+          RunPaired(corpus, subcollections, dont_know_rate,
                     runner(full_sel.get()), runner(delta_sel.get()),
                     &full_transcripts, &delta_transcripts);
       RequireParity(full_transcripts, delta_transcripts, spec.name);
@@ -310,8 +312,8 @@ int main(int argc, char** argv) {
                                          dont_know_rate, t.speedup));
       }
       const double fresh_first_us =
-          spec.fresh_first ? FreshFirstQuestionUs(w.corpus, idx,
-                                                  w.subcollections, options,
+          spec.fresh_first ? FreshFirstQuestionUs(corpus, idx,
+                                                  subcollections, options,
                                                   spec)
                            : 0.0;
       table.AddRow({spec.name, Format("%.1f", t.full_us_per_step),
@@ -347,7 +349,7 @@ int main(int argc, char** argv) {
   {
     const int rounds = ScalePick<int>(4, 8, 8);
     const int num_sessions =
-        rounds * static_cast<int>(w.subcollections.size());
+        rounds * static_cast<int>(subcollections.size());
     out << "sessions/sec through the SessionManager (" << num_sessions
         << " 2-LP conversations, " << threads
         << " pool threads, own process):\n";
@@ -374,17 +376,17 @@ int main(int argc, char** argv) {
           o.enable_delta_counting = differential;
           return std::make_unique<KlpSelector>(o);
         };
-        SessionManager manager(w.corpus, idx, manager_options);
+        SessionManager manager(corpus, idx, manager_options);
         WallTimer timer;
         std::vector<std::future<bool>> jobs;
         jobs.reserve(num_sessions);
         for (int i = 0; i < num_sessions; ++i) {
           const SeedPairEntry& entry =
-              w.subcollections[i % w.subcollections.size()];
+              subcollections[i % subcollections.size()];
           SetId target =
               entry.set_ids[(i * 7919 + 13) % entry.set_ids.size()];
-          jobs.push_back(manager.pool().Submit([&manager, &w, &entry, target] {
-            SimulatedOracle oracle(&w.corpus, target);
+          jobs.push_back(manager.pool().Submit([&manager, &corpus, &entry, target] {
+            SimulatedOracle oracle(&corpus, target);
             std::vector<EntityId> initial = {entry.a, entry.b};
             SessionView view = manager.Drive(manager.Create(initial), oracle);
             manager.Close(view.id);

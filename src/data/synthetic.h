@@ -9,8 +9,8 @@
 /// at least one fresh element per set, so all sets are unique.
 ///
 /// Table 1's three sweeps (overlap ratio α, number of sets n, set-size range
-/// d) are configurations of this generator; bench_table1 reproduces the
-/// distinct-entity counts.
+/// d) are configurations of this generator; bench_paper's Table 1
+/// reproduces the distinct-entity counts.
 
 #include <cstdint>
 

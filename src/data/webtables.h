@@ -5,7 +5,8 @@
 ///
 /// The original corpus — 1.4M entity sets extracted from the columns of 2014
 /// Wikipedia tables — is not redistributable, so we synthesize a corpus with
-/// the structural properties the algorithms actually depend on (DESIGN.md §4):
+/// the structural properties the algorithms actually depend on (listed with
+/// the other substitutions in bench/bench_paper.cc's file comment):
 ///
 ///  * sets are column-like: values drawn from a *semantic domain*;
 ///  * domain popularity and within-domain value popularity are Zipfian;

@@ -5,7 +5,8 @@
 /// (§5.2.3; 20,185 players). The real CSV is not bundled, so we generate a
 /// table with the same schema and marginals tuned so the paper's seven
 /// target queries (Table 2) select outputs of comparable size — the property
-/// the experiment depends on (see DESIGN.md §4).
+/// the experiment depends on (bench/bench_paper.cc's file comment lists the
+/// substitutions).
 ///
 /// Columns: playerID, birthCountry, birthState, birthCity, birthYear,
 /// birthMonth, birthDay, height, weight, bats, throws.

@@ -5,7 +5,7 @@
 ///
 /// Web-table domains and categorical attribute values are heavily skewed in
 /// practice; the simulated corpora in src/data use this sampler to reproduce
-/// that skew (see DESIGN.md §4).
+/// that skew (bench/bench_paper.cc's file comment lists the substitutions).
 
 #include <cmath>
 #include <cstdint>
