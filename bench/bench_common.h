@@ -4,6 +4,7 @@
 /// sizes with SETDISC_SCALE (quick | medium | full); bench_paper.cc's file
 /// comment describes the paper-vs-measured record (BENCH_paper.json).
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -89,10 +90,13 @@ class JsonReport {
       Field(key) << '"' << Escaped(value) << '"';
       return *this;
     }
+    /// The shortest text that reads back as exactly `value`, so a consumer
+    /// rounding the JSON to a table's precision sees the table's figure.
     Row& Num(std::string_view key, double value) {
       char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.6g", value);
-      Field(key) << buf;
+      const std::to_chars_result r =
+          std::to_chars(buf, buf + sizeof(buf), value);
+      Field(key) << std::string_view(buf, static_cast<size_t>(r.ptr - buf));
       return *this;
     }
     Row& Int(std::string_view key, int64_t value) {

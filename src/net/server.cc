@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <deque>
 #include <fcntl.h>
+#include <optional>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -165,6 +166,47 @@ obs::Gauge* WriteBacklogGauge() {
   return g;
 }
 
+/// The time from the poller reporting a connection readable to the loop
+/// turning to it: the wait behind the events ahead of it in the batch,
+/// which is where in-place (inline) requests would show as a stalled loop.
+obs::Histogram* LoopLagHistogram() {
+  static obs::Histogram* const h =
+      obs::MetricsRegistry::Default().GetHistogram("setdisc_loop_lag_ns");
+  return h;
+}
+
+/// One wire request kind and its setdisc_request_ns{op, path} histograms:
+/// the request's time in the server, from its dispatch to its reply landing
+/// in the connection's write buffer. path="inline" when the loop served it
+/// in place; path="pool" when it rode the manager's pool (queue wait, the
+/// job, and the completion hop back to the loop). Requests the loop always
+/// serves itself (`pooled` false) have no pool histogram.
+struct RequestOp {
+  explicit RequestOp(const char* op, bool pooled = true)
+      : name(op),
+        inline_ns(Histogram(op, "inline")),
+        pool_ns(pooled ? Histogram(op, "pool") : nullptr) {}
+
+  const char* name;
+  obs::Histogram* inline_ns;
+  obs::Histogram* pool_ns;
+
+ private:
+  static obs::Histogram* Histogram(const char* op, const char* path) {
+    return obs::MetricsRegistry::Default().GetHistogram(
+        "setdisc_request_ns", {{"op", op}, {"path", path}});
+  }
+};
+
+/// Start of a request's server time; 0 (nothing to time) with metrics off.
+uint64_t RequestStartNs() {
+  return obs::Enabled() ? obs::NowNanos() : 0;
+}
+
+void RecordRequest(obs::Histogram* h, uint64_t start_ns) {
+  if (start_ns != 0) h->Record(obs::NowNanos() - start_ns);
+}
+
 WireStatus ToWireStatus(SessionStatus status) {
   switch (status) {
     case SessionStatus::kOk: return WireStatus::kOk;
@@ -235,17 +277,23 @@ struct DiscoveryServer::Impl {
   int64_t write_backlog = 0;
 
   // Pool-thread -> loop-thread handoff.
+  struct Completion {
+    uint64_t conn_id = 0;
+    std::string frame;
+    const RequestOp* op = nullptr;
+    uint64_t dispatch_ns = 0;  ///< RequestStartNs() at dispatch
+  };
   std::mutex completions_mu;
-  std::vector<std::pair<uint64_t, std::string>> completions;
+  std::vector<Completion> completions;
   std::atomic<int64_t> outstanding_jobs{0};
 
   /// Every Offload()ed job resolves in exactly one PostCompletion; the
   /// wake and the counter decrement must happen even if enqueueing the
   /// reply fails, or Shutdown() would wait on the counter forever.
-  void PostCompletion(uint64_t conn_id, std::string frame) {
+  void PostCompletion(Completion done) {
     try {
       std::lock_guard<std::mutex> lock(completions_mu);
-      completions.emplace_back(conn_id, std::move(frame));
+      completions.push_back(std::move(done));
     } catch (...) {
       // Allocation failure posting the reply: the connection idles out,
       // but the loop still wakes and the job still counts as finished.
@@ -625,8 +673,10 @@ struct LoopCtx {
   }
 
   void Dispatch(Conn& conn, Frame frame) {
+    const uint64_t start_ns = RequestStartNs();
     switch (frame.type) {
       case MsgType::kCloseSession: {
+        static const RequestOp kOp("close", /*pooled=*/false);
         SessionRefMsg msg;
         if (!Decode(frame.body, &msg)) return ProtocolError(conn, WireStatus::kMalformed);
         SessionStatus status = manager.Close(msg.session_id, msg.token);
@@ -635,9 +685,11 @@ struct LoopCtx {
         } else {
           SendError(conn, ToWireStatus(status), "close: unknown session");
         }
+        RecordRequest(kOp.inline_ns, start_ns);
         return;
       }
       case MsgType::kStats: {
+        static const RequestOp kOp("stats", /*pooled=*/false);
         if (!frame.body.empty()) return ProtocolError(conn, WireStatus::kMalformed);
         StatsReplyMsg msg;
         msg.active_sessions = manager.num_active();
@@ -651,11 +703,16 @@ struct LoopCtx {
         }
         FillRichStats(manager, &msg);
         SendFrame(conn, Encode(msg));
+        RecordRequest(kOp.inline_ns, start_ns);
         return;
       }
       // The session-stepping requests run Select() (Create / Answer /
       // Verify) or may block on a session mutex behind someone else's
-      // Select() (GetSession) — all are offloaded so the loop never stalls.
+      // Select() (Get / Resume), so they are offloaded and the loop never
+      // stalls — except that a Create, Answer, Get or Resume the manager
+      // can serve without waiting or selecting (TryCreateInline /
+      // TryStepInline / TryGetInline) is served in place (ServeInline),
+      // saving the pool and wake-pipe hops.
       //
       // The job lambdas must NOT capture the LoopCtx (`this`): it lives on
       // the Loop() stack, and a slow job can outlive the loop (Shutdown
@@ -663,6 +720,7 @@ struct LoopCtx {
       // SessionManager* instead (alive until every job finished) and just
       // return the reply frame; Offload's wrapper owns delivery.
       case MsgType::kCreateSession: {
+        static const RequestOp kOp("create");
         CreateSessionMsg msg;
         if (!Decode(frame.body, &msg)) return ProtocolError(conn, WireStatus::kMalformed);
         if (RefuseWhileDraining(conn)) return;
@@ -690,34 +748,59 @@ struct LoopCtx {
         if (!trace.valid() && obs::JourneyEnabled() && obs::Enabled()) {
           trace = obs::MakeTraceId();
         }
-        Offload(conn, "create", trace,
-                [mgr = &manager, msg = std::move(msg), trace]() mutable {
-                  SessionStateMsg reply = ToWire(mgr->Create(
-                      msg.initial, msg.enable_trace, trace, msg.want_token));
-                  // The token rides the wire exactly once — in this reply,
-                  // and only because the client opted in with want_token.
-                  reply.has_token = msg.want_token && reply.token != 0;
-                  return Encode(reply);
+        // The token rides the wire exactly once — in this reply, and only
+        // because the client opted in with want_token.
+        auto create_reply = [want_token = msg.want_token](SessionView view) {
+          SessionStateMsg reply = ToWire(view);
+          reply.has_token = want_token && reply.token != 0;
+          return Encode(reply);
+        };
+        if (ServeInline(conn, kOp, start_ns, trace,
+                        [&]() -> std::optional<std::string> {
+                          std::optional<SessionView> view =
+                              manager.TryCreateInline(msg.initial,
+                                                      msg.enable_trace, trace,
+                                                      msg.want_token);
+                          if (!view.has_value()) return std::nullopt;
+                          return create_reply(std::move(*view));
+                        })) {
+          return;
+        }
+        Offload(conn, kOp, start_ns, trace,
+                [mgr = &manager, msg = std::move(msg), trace,
+                 create_reply]() mutable {
+                  return create_reply(mgr->Create(msg.initial, msg.enable_trace,
+                                                  trace, msg.want_token));
                 });
         return;
       }
       case MsgType::kAnswer: {
+        static const RequestOp kOp("answer");
         AnswerMsg msg;
         if (!Decode(frame.body, &msg)) return ProtocolError(conn, WireStatus::kMalformed);
         if (RefuseWhileDraining(conn)) return;
-        Offload(conn, "answer", obs::TraceId{}, [mgr = &manager, msg] {
-          SessionView view;
-          SessionStatus status =
-              mgr->SubmitAnswer(msg.session_id, msg.answer, &view, msg.token);
-          return StepReply(status, view, "answer");
-        });
+        DiscoverySession::PreparedAnswer prepared;
+        if (ServeStepInline(conn, kOp, start_ns, [&](SessionView* view) {
+              return manager.TryStepInline(msg.session_id, msg.answer, view,
+                                           msg.token, &prepared);
+            })) {
+          return;
+        }
+        Offload(conn, kOp, start_ns, obs::TraceId{},
+                [mgr = &manager, msg, prepared = std::move(prepared)]() mutable {
+                  SessionView view;
+                  SessionStatus status = mgr->SubmitAnswer(
+                      msg.session_id, msg.answer, &view, msg.token, &prepared);
+                  return StepReply(status, view, "answer");
+                });
         return;
       }
       case MsgType::kVerify: {
+        static const RequestOp kOp("verify");
         VerifyMsg msg;
         if (!Decode(frame.body, &msg)) return ProtocolError(conn, WireStatus::kMalformed);
         if (RefuseWhileDraining(conn)) return;
-        Offload(conn, "verify", obs::TraceId{}, [mgr = &manager, msg] {
+        Offload(conn, kOp, start_ns, obs::TraceId{}, [mgr = &manager, msg] {
           SessionView view;
           SessionStatus status =
               mgr->Verify(msg.session_id, msg.confirmed, &view, msg.token);
@@ -726,10 +809,16 @@ struct LoopCtx {
         return;
       }
       case MsgType::kGetSession: {
+        static const RequestOp kOp("get");
         SessionRefMsg msg;
         if (!Decode(frame.body, &msg)) return ProtocolError(conn, WireStatus::kMalformed);
         if (RefuseWhileDraining(conn)) return;
-        Offload(conn, "get", obs::TraceId{}, [mgr = &manager, msg] {
+        if (ServeStepInline(conn, kOp, start_ns, [&](SessionView* view) {
+              return manager.TryGetInline(msg.session_id, view, msg.token);
+            })) {
+          return;
+        }
+        Offload(conn, kOp, start_ns, obs::TraceId{}, [mgr = &manager, msg] {
           SessionView view;
           SessionStatus status = mgr->Get(msg.session_id, &view, msg.token);
           return StepReply(status, view, "get");
@@ -742,10 +831,16 @@ struct LoopCtx {
       // mandatory in the message; a mismatch answers kNotFound, exactly like
       // an unknown id, so probing ids leaks nothing.
       case MsgType::kResumeSession: {
+        static const RequestOp kOp("resume");
         ResumeSessionMsg msg;
         if (!Decode(frame.body, &msg)) return ProtocolError(conn, WireStatus::kMalformed);
         if (RefuseWhileDraining(conn)) return;
-        Offload(conn, "resume", obs::TraceId{}, [mgr = &manager, msg] {
+        if (ServeStepInline(conn, kOp, start_ns, [&](SessionView* view) {
+              return manager.TryGetInline(msg.session_id, view, msg.token);
+            })) {
+          return;
+        }
+        Offload(conn, kOp, start_ns, obs::TraceId{}, [mgr = &manager, msg] {
           SessionView view;
           SessionStatus status = mgr->Get(msg.session_id, &view, msg.token);
           return StepReply(status, view, "resume");
@@ -755,10 +850,11 @@ struct LoopCtx {
       // GetTrace can wait on the session mutex behind a Select, so it rides
       // the pool like the stepping requests.
       case MsgType::kGetTrace: {
+        static const RequestOp kOp("trace");
         SessionRefMsg msg;
         if (!Decode(frame.body, &msg)) return ProtocolError(conn, WireStatus::kMalformed);
         if (RefuseWhileDraining(conn)) return;
-        Offload(conn, "trace", obs::TraceId{}, [mgr = &manager, msg] {
+        Offload(conn, kOp, start_ns, obs::TraceId{}, [mgr = &manager, msg] {
           TraceReplyMsg reply;
           reply.session_id = msg.session_id;
           SessionStatus status =
@@ -787,6 +883,58 @@ struct LoopCtx {
     return true;
   }
 
+  /// Serves a request on the loop thread when `try_reply()` — a
+  /// non-blocking manager call — produces its reply frame, appending it
+  /// straight to the connection's write buffer; returns false, having sent
+  /// nothing, when it returns nullopt ("would block"), and the caller
+  /// offloads instead. Under journey tracing the attempt runs under a
+  /// JourneyScope like a pool job (`trace` as in Offload), so a served
+  /// request leaves the same request + step + phase spans, without the
+  /// queue-wait span; a declined attempt leaves none.
+  template <typename TryReply>
+  bool ServeInline(Conn& conn, const RequestOp& op, uint64_t start_ns,
+                   obs::TraceId trace, TryReply try_reply) {
+    const bool journey = obs::JourneyEnabled() && obs::Enabled();
+    obs::JourneyContext jc;
+    jc.trace = trace;
+    if (journey) jc.request_span = obs::NextSpanId();
+    std::string reply;
+    {
+      obs::JourneyScope scope(journey ? &jc : nullptr);
+      try {
+        std::optional<std::string> served = try_reply();
+        if (!served.has_value()) return false;
+        reply = std::move(*served);
+      } catch (...) {
+        // Same contract as a pool job that throws: an Internal error reply.
+        reply = Encode(ErrorMsg{WireStatus::kInternal,
+                                WireStatusName(WireStatus::kInternal)});
+      }
+    }
+    if (journey) {
+      obs::FinishRequestJourney(jc, op.name, start_ns, start_ns,
+                                options.slow_step_ns, /*pooled=*/false);
+    }
+    SendFrame(conn, std::move(reply));
+    RecordRequest(op.inline_ns, start_ns);
+    return true;
+  }
+
+  /// ServeInline for the session-view requests (Answer, Get, Resume):
+  /// `try_step(&view)` returns the manager's status, or nullopt.
+  template <typename TryStep>
+  bool ServeStepInline(Conn& conn, const RequestOp& op, uint64_t start_ns,
+                       TryStep try_step) {
+    return ServeInline(
+        conn, op, start_ns, obs::TraceId{},
+        [&]() -> std::optional<std::string> {
+          SessionView view;
+          const std::optional<SessionStatus> status = try_step(&view);
+          if (!status.has_value()) return std::nullopt;
+          return StepReply(*status, view, op.name);
+        });
+  }
+
   /// Marks the connection busy and runs `job` (returning the reply frame)
   /// on the manager's pool. The wrapper — not the job — owns delivery:
   /// exactly one PostCompletion happens even if the job throws, so a
@@ -794,25 +942,25 @@ struct LoopCtx {
   /// Shutdown() waiting on the outstanding-jobs counter forever.
   ///
   /// When journey tracing is on, the wrapper is also the request boundary:
-  /// it times decode → pool-dequeue as queue wait, runs the job under a
+  /// it times dispatch → pool-dequeue as queue wait, runs the job under a
   /// JourneyScope (so the session layers underneath stamp the context and
   /// emit the step + phase spans), and closes out the request/queue-wait
-  /// spans — plus the slow-step exemplar — afterwards. `rname` is the wire
-  /// request name; `trace` is the wire-carried trace id (invalid for
+  /// spans — plus the slow-step exemplar — afterwards. `op` names the wire
+  /// request; `trace` is the wire-carried trace id (invalid for
   /// requests that don't carry one; the session's stored id, or a fresh
   /// one, fills in). Like the job itself, the journey bookkeeping must not
   /// touch the LoopCtx — everything rides in the lambda by value.
   template <typename Job>
-  void Offload(Conn& conn, const char* rname, obs::TraceId trace, Job job) {
+  void Offload(Conn& conn, const RequestOp& op, uint64_t dispatch_ns,
+               obs::TraceId trace, Job job) {
     conn.inflight = true;
     im.outstanding_jobs.fetch_add(1, std::memory_order_relaxed);
     DiscoveryServer::Impl* impl = &im;
     const bool journey = obs::JourneyEnabled() && obs::Enabled();
-    const uint64_t decode_ns = journey ? obs::NowNanos() : 0;
     const uint64_t slow_ns = options.slow_step_ns;
-    manager.pool().Submit([job = std::move(job), impl, conn_id = conn.id,
-                           rname, trace, journey, decode_ns,
-                           slow_ns]() mutable {
+    manager.pool().Post([job = std::move(job), impl, conn_id = conn.id,
+                         op = &op, trace, journey, dispatch_ns,
+                         slow_ns]() mutable {
       std::string reply;
       obs::JourneyContext jc;
       jc.trace = trace;
@@ -833,8 +981,10 @@ struct LoopCtx {
           }
         }
       }
-      if (journey) obs::FinishRequestJourney(jc, rname, decode_ns, start_ns, slow_ns);
-      impl->PostCompletion(conn_id, std::move(reply));
+      if (journey) {
+        obs::FinishRequestJourney(jc, op->name, dispatch_ns, start_ns, slow_ns);
+      }
+      impl->PostCompletion({conn_id, std::move(reply), op, dispatch_ns});
     });
   }
 
@@ -886,7 +1036,9 @@ struct LoopCtx {
     MaybeClose(conn);
   }
 
-  void OnReadable(Conn& conn) {
+  /// `ready_ns`: when the poller reported the event (0 = not timed).
+  void OnReadable(Conn& conn, uint64_t ready_ns) {
+    if (ready_ns != 0) LoopLagHistogram()->Record(obs::NowNanos() - ready_ns);
     char buf[16384];
     // Fairness + backpressure bound: one firehosing connection must not pin
     // the loop in recv() nor outgrow its backlog bound within a single
@@ -1051,24 +1203,25 @@ struct LoopCtx {
     char buf[256];
     while (::read(im.wake_read.get(), buf, sizeof(buf)) > 0) {
     }
-    std::vector<std::pair<uint64_t, std::string>> done;
+    std::vector<DiscoveryServer::Impl::Completion> done;
     {
       std::lock_guard<std::mutex> lock(im.completions_mu);
       done.swap(im.completions);
     }
-    for (auto& [conn_id, frame] : done) {
-      auto it = im.by_id.find(conn_id);
+    for (DiscoveryServer::Impl::Completion& c : done) {
+      auto it = im.by_id.find(c.conn_id);
       if (it == im.by_id.end()) continue;  // connection died mid-request
       std::shared_ptr<Conn> conn = it->second;
       conn->inflight = false;
       conn->last_active = Clock::now();
-      if (frame.empty()) {
+      if (c.frame.empty()) {
         // The job could not produce even an error reply (allocation
         // failure); the reply order is unrecoverable for this client.
         conn->pending.clear();
         conn->closing = true;
       } else {
-        SendFrame(*conn, std::move(frame));
+        SendFrame(*conn, std::move(c.frame));
+        RecordRequest(c.op->pool_ns, c.dispatch_ns);
       }
       Pump(*conn);
     }
@@ -1131,6 +1284,7 @@ void DiscoveryServer::Loop() {
     }
 
     im.poller->Wait(ctx.WaitTimeoutMs(), &events);
+    const uint64_t ready_ns = obs::Enabled() ? obs::NowNanos() : 0;
 
     // Connection work first, accepts last: a close earlier in the batch can
     // recycle an fd number, and accepting into it mid-batch would let stale
@@ -1156,7 +1310,7 @@ void DiscoveryServer::Loop() {
       std::shared_ptr<Conn> conn = ctx.Find(ev.fd);
       if (conn == nullptr) continue;  // closed earlier in this batch
       if (ev.readable || ev.hangup) {
-        ctx.OnReadable(*conn);  // EOF path closes the connection
+        ctx.OnReadable(*conn, ready_ns);  // EOF path closes the connection
         conn = ctx.Find(ev.fd);
         if (conn == nullptr) continue;
       }

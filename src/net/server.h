@@ -12,14 +12,29 @@
 ///     non-blocking;
 ///   * bytes read feed each connection's incremental FrameDecoder; decoded
 ///     requests queue per connection and are answered strictly in order;
-///   * session-stepping requests (CreateSession / Answer / Verify, and
-///     GetSession — which can wait on a session mutex behind someone
-///     else's Select) run or wait on the selector, the CPU cost of a step,
-///     so they are offloaded to the SessionManager's ThreadPool; the event
-///     loop never blocks on them. Completions post the encoded reply to a
-///     queue and tickle the wake pipe, and the loop thread appends it to
-///     the connection's write buffer. CloseSession and Stats (registry
-///     -mutex-only) are answered inline;
+///   * a session request that can be answered without computing a
+///     selection or waiting on a lock is answered on the loop thread: an
+///     Answer or Create whose next question the shared selection cache
+///     holds (or whose next state needs none), and a GetSession /
+///     ResumeSession of a resident session whose mutex is free. The loop
+///     asks the manager's non-blocking calls (TryStepInline,
+///     TryCreateInline, TryGetInline), which decide from observed facts
+///     only — a cache hit, a try-lock, residency, no session store — never
+///     from a cost guess. This saves the pool and wake-pipe hops, the bulk
+///     of a cheap step's round trip;
+///   * everything else (a cache miss, a busy or spilled session, Verify,
+///     GetTrace, any request under a session store) runs or waits on the
+///     selector, the CPU cost of a step, so it is offloaded to the
+///     SessionManager's ThreadPool; the event loop never blocks on it. An
+///     Answer the loop declined hands its computed partition to the pool
+///     job. Completions post the encoded reply to a queue and tickle the
+///     wake pipe, and the loop thread appends it to the connection's write
+///     buffer. CloseSession and Stats (registry-mutex-only) are answered
+///     on the loop as well;
+///   * setdisc_request_ns{op, path="inline"|"pool"} times each request from
+///     dispatch to its reply entering the write buffer, and
+///     setdisc_loop_lag_ns how long a readable connection waited for the
+///     loop: the cost in-place serving puts on the other connections;
 ///   * writes go through per-connection buffers: the loop writes what the
 ///     socket accepts and polls for writability only while a backlog
 ///     remains. A connection that pipelines requests faster than it reads
@@ -106,8 +121,8 @@ struct ServerOptions {
   /// stream. nullptr = admit everything (the pre-controller behaviour).
   LoadController* load_controller = nullptr;
 
-  /// Slow-step exemplar threshold in nanoseconds: an offloaded step whose
-  /// service time (pool queue wait + execution) reaches it is captured into
+  /// Slow-step exemplar threshold in nanoseconds: a step whose service time
+  /// (pool queue wait, if offloaded, + execution) reaches it is captured into
   /// the process ExemplarStore (and the --event-log JSONL). 0 disables
   /// exemplars; journey spans themselves are gated on
   /// obs::SetJourneyEnabled, not on this.

@@ -224,7 +224,7 @@ std::vector<StepExemplar> ExemplarStore::Snapshot() const {
 
 void FinishRequestJourney(JourneyContext& ctx, const char* name,
                           uint64_t decode_ns, uint64_t start_ns,
-                          uint64_t slow_ns) {
+                          uint64_t slow_ns, bool pooled) {
   const uint64_t end_ns = NowNanos();
   if (!ctx.trace.valid()) ctx.trace = MakeTraceId();
   if (ctx.request_span == 0) ctx.request_span = NextSpanId();
@@ -242,17 +242,20 @@ void FinishRequestJourney(JourneyContext& ctx, const char* name,
   std::snprintf(req_name, sizeof(req_name), "req:%s", name);
   req.SetName(req_name);
   if (ctx.session_id != 0) req.AnnotateU64("session", ctx.session_id);
+  req.Annotate("path", pooled ? "pool" : "inline");
   ring.Push(req);
 
-  Span wait;
-  wait.trace_hi = ctx.trace.hi;
-  wait.trace_lo = ctx.trace.lo;
-  wait.span_id = NextSpanId();
-  wait.parent_id = ctx.request_span;
-  wait.start_ns = decode_ns;
-  wait.duration_ns = queue_wait_ns;
-  wait.SetName("queue_wait");
-  ring.Push(wait);
+  if (pooled) {
+    Span wait;
+    wait.trace_hi = ctx.trace.hi;
+    wait.trace_lo = ctx.trace.lo;
+    wait.span_id = NextSpanId();
+    wait.parent_id = ctx.request_span;
+    wait.start_ns = decode_ns;
+    wait.duration_ns = queue_wait_ns;
+    wait.SetName("queue_wait");
+    ring.Push(wait);
+  }
 
   if (slow_ns > 0 && ctx.have_step &&
       ctx.step_total_ns + queue_wait_ns >= slow_ns) {

@@ -179,14 +179,16 @@ class ExemplarStore {
 // Request-journey completion
 // ---------------------------------------------------------------------------
 
-/// Closes out one request's journey after its pool job ran under `ctx`
-/// (JourneyScope): emits the request span (decode_ns .. now) and its
-/// queue-wait child (decode_ns .. start_ns) into Journey(), and — when
+/// Closes out one request's journey after it ran under `ctx`
+/// (JourneyScope): emits the request span (decode_ns .. now), annotated
+/// with the path that served it, and — for a `pooled` request — its
+/// queue-wait child (decode_ns .. start_ns) into Journey(); a request the
+/// event loop served in place has no queue wait and no such span. When
 /// `slow_ns` > 0 and the step's service time (queue wait + execution)
-/// reached it — captures a StepExemplar. `name` is the wire request name.
+/// reached it, captures a StepExemplar. `name` is the wire request name.
 void FinishRequestJourney(JourneyContext& ctx, const char* name,
                           uint64_t decode_ns, uint64_t start_ns,
-                          uint64_t slow_ns);
+                          uint64_t slow_ns, bool pooled = true);
 
 // ---------------------------------------------------------------------------
 // Signals

@@ -6,6 +6,7 @@
 
 #include "obs/journey.h"
 #include "obs/registry.h"
+#include "service/selection_cache.h"
 #include "util/status.h"
 
 namespace setdisc {
@@ -64,7 +65,7 @@ DiscoverySession::DiscoverySession(const SetCollection& collection,
   }
 }
 
-void DiscoverySession::Advance() {
+void DiscoverySession::Advance(const EntityId* chosen) {
   // Lines 5-12 of Algorithm 2, one narrowing step at a time: while several
   // candidates remain, each Advance() either parks in kAwaitingAnswer with
   // the next question or finishes; SubmitAnswer() partitions and calls
@@ -78,7 +79,9 @@ void DiscoverySession::Advance() {
       return;
     }
     EntityId e;
-    if (replay_next_ < replay_.size()) [[unlikely]] {
+    if (chosen != nullptr) {
+      e = *chosen;
+    } else if (replay_next_ < replay_.size()) [[unlikely]] {
       // Rehydration: the question this node was asked is on record. Check
       // it before any partition uses it — a corrupt journal must fail the
       // rehydration, not index past the collection.
@@ -118,77 +121,168 @@ void DiscoverySession::Advance() {
   Backtrack();
 }
 
-void DiscoverySession::SubmitAnswer(Oracle::Answer answer) {
+bool DiscoverySession::Instrumented() const {
+  return (obs::Enabled() && step_hist_ != nullptr) || trace_ != nullptr ||
+         obs::CurrentJourney() != nullptr;
+}
+
+void DiscoverySession::SubmitAnswer(Oracle::Answer answer,
+                                    PreparedAnswer* prepared) {
   // Step entry is the one degradation point: the level is re-read here (not
   // mid-step) so one step runs at one effort level end to end.
   ApplyEffort();
-  const bool metrics = obs::Enabled() && step_hist_ != nullptr;
-  if (!metrics && trace_ == nullptr && obs::CurrentJourney() == nullptr) {
-    DoSubmitAnswer(answer);
+  SETDISC_CHECK_MSG(state_ == SessionState::kAwaitingAnswer,
+                    "SubmitAnswer outside kAwaitingAnswer");
+  // A preparation from before the session last moved describes another
+  // step: recompute.
+  if (prepared != nullptr && !IsCurrent(*prepared, answer)) prepared = nullptr;
+  auto step = [&] {
+    return prepared != nullptr ? std::move(*prepared) : Prepare(answer);
+  };
+  if (!Instrumented()) {
+    Apply(step());
     return;
   }
   const EntityId entity = pending_entity_;
   const size_t before = candidates_.size();
-  obs::PhaseAccum accum;
+  obs::PhaseAccum accum =
+      prepared != nullptr ? prepared->accum_ : obs::PhaseAccum{};
+  const uint64_t carried_ns = prepared != nullptr ? prepared->ns_ : 0;
   const uint64_t t0 = obs::NowNanos();
   {
     obs::PhaseScope scope(&accum);
-    DoSubmitAnswer(answer);
+    Apply(step());
   }
-  RecordStep(/*kind=*/0, entity, before, obs::NowNanos() - t0, accum);
+  RecordStep(/*kind=*/0, entity, before, carried_ns + obs::NowNanos() - t0,
+             accum);
 }
 
-void DiscoverySession::DoSubmitAnswer(Oracle::Answer answer) {
+bool DiscoverySession::TrySubmitAnswerWithoutSelect(Oracle::Answer answer,
+                                                    CachingSelector& memo,
+                                                    PreparedAnswer* prepared) {
+  ApplyEffort();
   SETDISC_CHECK_MSG(state_ == SessionState::kAwaitingAnswer,
                     "SubmitAnswer outside kAwaitingAnswer");
-  EntityId e = pending_entity_;
+  if (!Instrumented()) return DoTrySubmitAnswer(answer, memo, prepared);
+  const EntityId entity = pending_entity_;
+  const size_t before = candidates_.size();
+  obs::PhaseAccum accum;
+  const uint64_t t0 = obs::NowNanos();
+  bool applied;
+  {
+    obs::PhaseScope scope(&accum);
+    applied = DoTrySubmitAnswer(answer, memo, prepared);
+  }
+  const uint64_t ns = obs::NowNanos() - t0;
+  if (applied) {
+    RecordStep(/*kind=*/0, entity, before, ns, accum);
+  } else {
+    prepared->accum_ = accum;
+    prepared->ns_ = ns;
+  }
+  return applied;
+}
+
+bool DiscoverySession::DoTrySubmitAnswer(Oracle::Answer answer,
+                                         CachingSelector& memo,
+                                         PreparedAnswer* prepared) {
+  PreparedAnswer step = Prepare(answer);
+  if (!SelectsAfter(step)) {
+    Apply(std::move(step));
+    return true;
+  }
+  EntityId next = kNoEntity;
+  bool hit = false;
+  if (!step.exclude_) {
+    obs::PhaseTimer select_timer(obs::Phase::kSelect);
+    hit = memo.TrySelectCached(step.kept_,
+                               any_excluded_ ? &excluded_ : nullptr, &next);
+  }
+  if (!hit) {
+    *prepared = std::move(step);
+    return false;
+  }
+  Apply(std::move(step), &next);
+  return true;
+}
+
+bool DiscoverySession::SelectsAfter(const PreparedAnswer& step) const {
+  const size_t n = step.exclude_ ? candidates_.size() : step.kept_.size();
+  if (n > 1) {
+    // Advance's order: the halt condition, then a recorded question, then
+    // the selector.
+    if (options_.max_questions >= 0 &&
+        result_.questions + 1 >= options_.max_questions) {
+      return false;
+    }
+    return replay_next_ >= replay_.size();
+  }
+  // One candidate verifies or finishes; none finishes, or under
+  // verification backtracks, which may select.
+  return n == 0 && options_.verify_and_backtrack;
+}
+
+DiscoverySession::PreparedAnswer DiscoverySession::Prepare(
+    Oracle::Answer answer) const {
+  PreparedAnswer step;
+  step.owner_ = this;
+  step.step_ = applied_steps_;
+  step.entity_ = pending_entity_;
+  step.answer_ = answer;
+  step.exclude_ =
+      answer == Oracle::Answer::kDontKnow && options_.handle_dont_know;
+  if (!step.exclude_) {
+    // The emit phase's first half: partition-on-answer. Derive the
+    // children's fingerprints during the partition: when a shared selection
+    // cache is on, the selector just computed this view's fingerprint, and
+    // the next Select() will want the survivor's; the differential counting
+    // state keys its parent/child chain on them too.
+    obs::PhaseTimer emit_timer(obs::Phase::kEmit);
+    auto [in, out] = candidates_.Partition(step.entity_,
+                                           /*derive_fingerprints=*/true);
+    step.kept_contains_ = answer == Oracle::Answer::kYes;
+    step.kept_ = std::move(step.kept_contains_ ? in : out);
+    step.dropped_ = std::move(step.kept_contains_ ? out : in);
+  }
+  return step;
+}
+
+void DiscoverySession::Apply(PreparedAnswer step, const EntityId* chosen) {
+  const EntityId e = step.entity_;
   pending_entity_ = kNoEntity;
-
+  ++applied_steps_;
   ++result_.questions;
-  result_.transcript.emplace_back(e, answer);
+  result_.transcript.emplace_back(e, step.answer_);
 
-  if (answer == Oracle::Answer::kDontKnow && options_.handle_dont_know) {
+  if (step.exclude_) {
     excluded_.Set(e);
     any_excluded_ = true;
-    Advance();  // re-select on the same candidate collection
+    Advance(chosen);  // re-select on the same candidate collection
     return;
   }
-  bool yes = answer == Oracle::Answer::kYes;
   if (options_.verify_and_backtrack) {
     Frame f;
     f.before = candidates_;
     f.entity = e;
-    f.answered_yes = yes;
+    f.answered_yes = step.kept_contains_;
     frames_.push_back(std::move(f));
   }
   {
-    // The emit phase: partition-on-answer plus the counting-state handoff.
+    // The emit phase's second half: report the partition to the selector's
+    // counting state, handing over the dropped half: the next Select() can
+    // then derive its counts from this step's instead of recounting
+    // (collection/delta_counter.h).
     obs::PhaseTimer emit_timer(obs::Phase::kEmit);
-    // Derive the children's fingerprints during the partition: when a shared
-    // selection cache is on, the selector just computed this view's
-    // fingerprint, and the next Select() will want the survivor's; the
-    // differential counting state keys its parent/child chain on them too.
-    auto [in, out] = candidates_.Partition(e, /*derive_fingerprints=*/true);
-    // Report the partition to the selector's counting state, handing over the
-    // dropped half: the next Select() can then derive its counts from this
-    // step's instead of recounting (collection/delta_counter.h).
-    if (yes) {
-      selector_->NotePartition(candidates_, e, /*kept_contains=*/true, in,
-                               std::move(out));
-      candidates_ = std::move(in);
-    } else {
-      selector_->NotePartition(candidates_, e, /*kept_contains=*/false, out,
-                               std::move(in));
-      candidates_ = std::move(out);
-    }
+    selector_->NotePartition(candidates_, e, step.kept_contains_, step.kept_,
+                             std::move(step.dropped_));
+    candidates_ = std::move(step.kept_);
   }
-  Advance();
+  Advance(chosen);
 }
 
 void DiscoverySession::Verify(bool confirmed) {
   ApplyEffort();
-  const bool metrics = obs::Enabled() && step_hist_ != nullptr;
-  if (!metrics && trace_ == nullptr && obs::CurrentJourney() == nullptr) {
+  if (!Instrumented()) {
     DoVerify(confirmed);
     return;
   }
@@ -207,6 +301,7 @@ void DiscoverySession::DoVerify(bool confirmed) {
                     "Verify outside kAwaitingVerify");
   SetId s = pending_set_;
   pending_set_ = kNoSet;
+  ++applied_steps_;
 
   if (confirmed) {
     result_.confirmed = true;

@@ -48,6 +48,8 @@
 
 namespace setdisc {
 
+class CachingSelector;
+
 /// Where a session currently stands.
 enum class SessionState {
   /// A membership question is pending: read it with NextQuestion(), answer
@@ -66,6 +68,29 @@ enum class SessionState {
 /// SessionManager, and the network server drive.
 class DiscoverySession {
  public:
+  /// One answer's effect computed before any state changes: the partition of
+  /// the candidates on the answered entity. TrySubmitAnswerWithoutSelect
+  /// hands one back when it declines a step; SubmitAnswer reuses it iff the
+  /// session has not moved since (same session, same step, same answer) and
+  /// recomputes otherwise. Opaque; copyable so it can ride in a
+  /// std::function.
+  class PreparedAnswer {
+   private:
+    friend class DiscoverySession;
+    const DiscoverySession* owner_ = nullptr;
+    uint64_t step_ = 0;  ///< the session's applied steps when prepared
+    EntityId entity_ = kNoEntity;
+    Oracle::Answer answer_ = Oracle::Answer::kNo;
+    bool exclude_ = false;  ///< §6 don't-know: excludes, no partition
+    bool kept_contains_ = false;
+    SubCollection kept_;
+    SubCollection dropped_;
+    /// The preparation's own instrumented time, charged to the step that
+    /// reuses it.
+    obs::PhaseAccum accum_;
+    uint64_t ns_ = 0;
+  };
+
   /// Starts a session: filters candidates to the supersets of `initial`
   /// (Algorithm 2 lines 1-4) and selects the first question. The collection,
   /// index, and selector must outlive the session; the selector must not be
@@ -107,7 +132,21 @@ class DiscoverySession {
   /// advances: partitions the candidates — or, for kDontKnow under
   /// options.handle_dont_know, excludes the entity and re-selects on the
   /// same candidates (§6) — then picks the next question or finishes.
-  void SubmitAnswer(Oracle::Answer answer);
+  /// `prepared`, when given and still current, supplies the partition.
+  void SubmitAnswer(Oracle::Answer answer, PreparedAnswer* prepared = nullptr);
+
+  /// SubmitAnswer, but only if the step makes no selection: the state after
+  /// the answer needs none (at most one candidate, the question budget
+  /// spent, or a verification), or `memo` — this session's own selector —
+  /// can serve the decision it needs from its cache. A §6 don't-know that re-selects is never served here (its
+  /// exclusion mask does not exist yet). Returns true when the step was
+  /// applied — instrumented like SubmitAnswer. Returns false with the
+  /// session untouched (bar the live effort level, applied at entry like
+  /// any step's) and `*prepared` holding the partition it computed. State
+  /// must be kAwaitingAnswer.
+  bool TrySubmitAnswerWithoutSelect(Oracle::Answer answer,
+                                    CachingSelector& memo,
+                                    PreparedAnswer* prepared);
 
   /// Resolves the pending verification (state must be kAwaitingVerify).
   /// `confirmed` = true ends the session confirmed; false triggers §6
@@ -170,8 +209,10 @@ class DiscoverySession {
 
   /// Runs the narrowing loop (Algorithm 2 lines 5-12) until it needs outside
   /// input: stops in kAwaitingAnswer with a selected question, in
-  /// kAwaitingVerify with a single candidate, or in kFinished.
-  void Advance();
+  /// kAwaitingVerify with a single candidate, or in kFinished. `chosen`, when
+  /// given, is the decision the selector would make here (a memo hit) and
+  /// stands in for the Select() call.
+  void Advance(const EntityId* chosen = nullptr);
 
   /// §6 error recovery after a rejected verification: flip the most recent
   /// unflipped answer and resume, or finish when nothing viable remains.
@@ -189,9 +230,26 @@ class DiscoverySession {
 
   /// The uninstrumented step bodies; the public SubmitAnswer/Verify wrap
   /// them with the step timer, phase scope, and trace capture when metrics
-  /// or tracing are on (and are plain calls when both are off).
-  void DoSubmitAnswer(Oracle::Answer answer);
+  /// or tracing are on (and are plain calls when both are off). An answer
+  /// is Prepare (no state change) then Apply.
+  PreparedAnswer Prepare(Oracle::Answer answer) const;
+  void Apply(PreparedAnswer step, const EntityId* chosen = nullptr);
+  bool DoTrySubmitAnswer(Oracle::Answer answer, CachingSelector& memo,
+                         PreparedAnswer* prepared);
   void DoVerify(bool confirmed);
+
+  /// True when `p` was prepared by this session at its current step for
+  /// `answer`.
+  bool IsCurrent(const PreparedAnswer& p, Oracle::Answer answer) const {
+    return p.owner_ == this && p.step_ == applied_steps_ &&
+           p.entity_ == pending_entity_ && p.answer_ == answer;
+  }
+
+  /// True when the narrowing after `step` may call the selector.
+  bool SelectsAfter(const PreparedAnswer& step) const;
+
+  /// Whether a step is timed and recorded (metrics, tracing, or a journey).
+  bool Instrumented() const;
 
   /// Records one completed step: the step-latency histogram, the per-phase
   /// histograms, and (when tracing) a TraceEvent.
@@ -224,6 +282,9 @@ class DiscoverySession {
   bool any_excluded_ = false;
   std::unordered_set<SetId> rejected_;  // sets refuted during verification
   std::vector<Frame> frames_;
+  /// Answers and verifications applied so far: what ties a PreparedAnswer
+  /// to the step it was computed for.
+  uint64_t applied_steps_ = 0;
 
   /// Recorded questions still to replay (see the constructor); empty for
   /// live sessions and once EndReplay() ran.

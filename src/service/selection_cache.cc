@@ -59,14 +59,26 @@ SelectionCache::Shard& SelectionCache::ShardFor(const SelectionKey& key) {
 }
 
 bool SelectionCache::Lookup(const SelectionKey& key, EntityId* out) {
+  return Find(key, out, /*count_miss=*/true);
+}
+
+bool SelectionCache::Probe(const SelectionKey& key, EntityId* out) {
+  return Find(key, out, /*count_miss=*/false);
+}
+
+bool SelectionCache::Find(const SelectionKey& key, EntityId* out,
+                          bool count_miss) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  ++shard.lookups;
   auto it = shard.index.find(key);
   if (it == shard.index.end()) {
-    ++shard.misses;
+    if (count_miss) {
+      ++shard.lookups;
+      ++shard.misses;
+    }
     return false;
   }
+  ++shard.lookups;
   ++shard.hits;
   Slot& slot = shard.slots[it->second];
   slot.referenced = true;  // second chance for the CLOCK sweep

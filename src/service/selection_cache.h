@@ -133,6 +133,13 @@ class SelectionCache {
   /// informative entity" is a valid, cacheable decision) on a hit.
   bool Lookup(const SelectionKey& key, EntityId* out);
 
+  /// Lookup that counts only a hit: on a hit it is a full Lookup (counted,
+  /// reference bit set); on a miss it returns false and changes nothing, so
+  /// a caller that then falls back to Select() — whose own Lookup counts
+  /// the miss — keeps `hits + misses == lookups` and one lookup per
+  /// decision.
+  bool Probe(const SelectionKey& key, EntityId* out);
+
   /// Memoizes `value` for `key`, evicting (CLOCK) when the shard is full.
   /// Re-inserting an existing key overwrites in place.
   void Insert(const SelectionKey& key, EntityId value);
@@ -205,6 +212,9 @@ class SelectionCache {
     uint64_t evictions = 0;
   };
 
+  /// Lookup and Probe: a hit counts as a lookup; a miss does iff
+  /// `count_miss`.
+  bool Find(const SelectionKey& key, EntityId* out, bool count_miss);
   static uint64_t HashKey(const SelectionKey& key);
   Shard& ShardFor(const SelectionKey& key);
 
@@ -237,19 +247,20 @@ class CachingSelector : public EntitySelector {
 
   EntityId Select(const SubCollection& sub,
                   const EntityExclusion* excluded = nullptr) override {
+    from_cache_ = false;
     if (cache_->Bypasses(excluded)) {
       // One-shot state under the admission policy: don't spend a slot (or a
       // guaranteed miss) on it — compute directly.
       cache_->CountBypass();
       return inner_->Select(sub, excluded);
     }
-    SelectionKey key{sub.collection().Fingerprint(), sub.Fingerprint(),
-                     excluded != nullptr ? excluded->Fingerprint() : 0, tag_};
+    const SelectionKey key = KeyFor(sub, excluded);
     EntityId entity = kNoEntity;
     {
       obs::PhaseTimer timer(obs::Phase::kCacheLookup);
       if (cache_->Lookup(key, &entity)) {
         obs::NoteServePath(obs::ServePath::kCacheHit);
+        from_cache_ = true;
         return entity;
       }
     }
@@ -260,6 +271,25 @@ class CachingSelector : public EntitySelector {
     }
     return entity;
   }
+
+  /// Select() without computing: true writes the decision the shared cache
+  /// holds for this state, counted as the decision's one lookup; false
+  /// (miss, or a state the admission policy bypasses) counts nothing and
+  /// leaves the next Select() to decide. The inner selector is not called
+  /// either way, so its counting state is untouched.
+  bool TrySelectCached(const SubCollection& sub,
+                       const EntityExclusion* excluded, EntityId* out) {
+    if (cache_->Bypasses(excluded)) return false;
+    obs::PhaseTimer timer(obs::Phase::kCacheLookup);
+    if (!cache_->Probe(KeyFor(sub, excluded), out)) return false;
+    obs::NoteServePath(obs::ServePath::kCacheHit);
+    from_cache_ = true;
+    return true;
+  }
+
+  /// Whether the last decision this selector made (Select, or a served
+  /// TrySelectCached) came from the cache rather than the inner selector.
+  bool last_from_cache() const { return from_cache_; }
 
   std::string_view name() const override { return inner_->name(); }
 
@@ -288,9 +318,17 @@ class CachingSelector : public EntitySelector {
   EntitySelector& inner() { return *inner_; }
 
  private:
+  SelectionKey KeyFor(const SubCollection& sub,
+                      const EntityExclusion* excluded) const {
+    return SelectionKey{sub.collection().Fingerprint(), sub.Fingerprint(),
+                        excluded != nullptr ? excluded->Fingerprint() : 0,
+                        tag_};
+  }
+
   std::unique_ptr<EntitySelector> inner_;
   SelectionCache* cache_;
   uint64_t tag_;
+  bool from_cache_ = false;
 };
 
 }  // namespace setdisc

@@ -125,10 +125,7 @@ SessionView SessionManager::MakeView(SessionId id,
   return view;
 }
 
-std::shared_ptr<SessionManager::Entry> SessionManager::NewEntry(
-    std::span<const EntityId> initial, int effort, bool enable_trace,
-    std::vector<EntityId> recorded_questions) {
-  auto entry = std::make_shared<Entry>();
+std::unique_ptr<EntitySelector> SessionManager::MakeSelector(int effort) {
   std::unique_ptr<EntitySelector> selector = options_.selector_factory();
   SETDISC_CHECK_MSG(selector != nullptr, "selector_factory returned nullptr");
   if (options_.selection_cache != nullptr) {
@@ -139,6 +136,13 @@ std::shared_ptr<SessionManager::Entry> SessionManager::NewEntry(
   // already runs at it (the effort source, attached later by the caller,
   // only covers subsequent steps).
   if (effort != 0) selector->SetEffort(effort);
+  return selector;
+}
+
+std::shared_ptr<SessionManager::Entry> SessionManager::NewEntry(
+    std::span<const EntityId> initial, std::unique_ptr<EntitySelector> selector,
+    bool enable_trace, std::vector<EntityId> recorded_questions) {
+  auto entry = std::make_shared<Entry>();
   entry->selector = std::move(selector);
   // The initial Select() (inside the session constructor) runs outside the
   // registry lock: it can be a real scan, and other sessions must keep
@@ -159,6 +163,51 @@ SessionView SessionManager::Create(std::span<const EntityId> initial,
                                    bool enable_trace,
                                    obs::TraceId journey_trace,
                                    bool issue_token) {
+  const int create_effort = effort_level_.load(std::memory_order_relaxed);
+  std::shared_ptr<Entry> entry =
+      NewEntry(initial, MakeSelector(create_effort), enable_trace);
+  if (options_.selection_cache != nullptr) {
+    creates_from_cache_.store(
+        static_cast<const CachingSelector&>(*entry->selector)
+            .last_from_cache(),
+        std::memory_order_relaxed);
+  }
+  return Publish(std::move(entry), initial, create_effort, enable_trace,
+                 journey_trace, issue_token);
+}
+
+std::optional<SessionView> SessionManager::TryCreateInline(
+    std::span<const EntityId> initial, bool enable_trace,
+    obs::TraceId journey_trace, bool issue_token) {
+  if (store_ != nullptr || options_.selection_cache == nullptr ||
+      !creates_from_cache_.load(std::memory_order_relaxed) ||
+      options_.discovery.max_questions == 0) {
+    return std::nullopt;
+  }
+  SubCollection root(&collection_, index_.SetsContainingAll(initial));
+  if (root.size() < 2) return std::nullopt;
+  const int effort = effort_level_.load(std::memory_order_relaxed);
+  std::unique_ptr<EntitySelector> selector = MakeSelector(effort);
+  EntityId first = kNoEntity;
+  if (!static_cast<CachingSelector&>(*selector).TrySelectCached(
+          root, /*excluded=*/nullptr, &first) ||
+      first == kNoEntity) {
+    return std::nullopt;
+  }
+  // The cached decision stands in for the creation Select() the way a
+  // recorded question does for a rehydration.
+  std::shared_ptr<Entry> entry =
+      NewEntry(initial, std::move(selector), enable_trace, {first});
+  if (!entry->session->EndReplay()) return std::nullopt;
+  return Publish(std::move(entry), initial, effort, enable_trace,
+                 journey_trace, issue_token);
+}
+
+SessionView SessionManager::Publish(std::shared_ptr<Entry> entry,
+                                    std::span<const EntityId> initial,
+                                    int create_effort, bool enable_trace,
+                                    obs::TraceId journey_trace,
+                                    bool issue_token) {
   // An enclosing request context (server pool job) may carry the id when
   // the Create parameter doesn't — either way the session remembers it so
   // the whole conversation shares one trace.
@@ -167,8 +216,6 @@ SessionView SessionManager::Create(std::span<const EntityId> initial,
       journey_trace = jc->trace;
     }
   }
-  const int create_effort = effort_level_.load(std::memory_order_relaxed);
-  std::shared_ptr<Entry> entry = NewEntry(initial, create_effort, enable_trace);
   entry->journey_trace = journey_trace;
   // Steps re-read the live level at entry; the cell outlives every session.
   entry->session->SetEffortSource(&effort_level_);
@@ -310,9 +357,9 @@ std::shared_ptr<SessionManager::Entry> SessionManager::Rehydrate(
       rec.options.max_backtracks != options_.discovery.max_backtracks) {
     return fail("rehydrate: options mismatch", id);
   }
-  std::shared_ptr<Entry> entry = NewEntry(
-      rec.initial, rec.create_effort, rec.trace_enabled(),
-      RecordedQuestions(rec));
+  std::shared_ptr<Entry> entry =
+      NewEntry(rec.initial, MakeSelector(rec.create_effort),
+               rec.trace_enabled(), RecordedQuestions(rec));
   if (entry->selector->name() != rec.selector) {
     return fail("rehydrate: selector mismatch", id);
   }
@@ -436,8 +483,64 @@ SessionStatus SessionManager::Get(SessionId id, SessionView* view,
   return SessionStatus::kOk;
 }
 
-SessionStatus SessionManager::SubmitAnswer(SessionId id, Oracle::Answer answer,
-                                           SessionView* view, uint64_t token) {
+std::optional<SessionStatus> SessionManager::TryGetInline(SessionId id,
+                                                          SessionView* view,
+                                                          uint64_t token) {
+  auto entry = Find(id);
+  if (entry == nullptr) {
+    if (store_ != nullptr && id != kNoSession) return std::nullopt;
+    return SessionStatus::kNotFound;
+  }
+  if (entry->token != 0 && token != entry->token) {
+    return SessionStatus::kNotFound;
+  }
+  std::unique_lock<std::mutex> lock(entry->mu, std::try_to_lock);
+  if (!lock.owns_lock()) return std::nullopt;
+  if (view != nullptr) *view = MakeView(id, *entry->session, entry->token);
+  return SessionStatus::kOk;
+}
+
+std::optional<SessionStatus> SessionManager::TryStepInline(
+    SessionId id, Oracle::Answer answer, SessionView* view, uint64_t token,
+    DiscoverySession::PreparedAnswer* prepared) {
+  if (store_ != nullptr || options_.selection_cache == nullptr) {
+    return std::nullopt;
+  }
+  auto entry = Find(id);
+  if (entry == nullptr) return SessionStatus::kNotFound;
+  if (entry->token != 0 && token != entry->token) {
+    return SessionStatus::kNotFound;
+  }
+  std::unique_lock<std::mutex> lock(entry->mu, std::try_to_lock);
+  if (!lock.owns_lock()) return std::nullopt;
+  if (entry->session->state() != SessionState::kAwaitingAnswer) {
+    return SessionStatus::kWrongState;
+  }
+  // The manager built this session's selector, and wraps it in a
+  // CachingSelector exactly when a cache is configured. A conversation
+  // whose last question was computed has left the cached paths, and its
+  // next question is almost never cached either, so it goes straight to
+  // the pool instead of partitioning on the loop first.
+  auto* memo = static_cast<CachingSelector*>(entry->selector.get());
+  if (!memo->last_from_cache()) return std::nullopt;
+  if (obs::JourneyContext* jc = obs::CurrentJourney()) {
+    jc->session_id = id;
+    if (!jc->trace.valid()) jc->trace = entry->journey_trace;
+  }
+  if (!entry->session->TrySubmitAnswerWithoutSelect(answer, *memo,
+                                                    prepared)) {
+    return std::nullopt;
+  }
+  if (entry->session->done()) {
+    entry->finished.store(true, std::memory_order_relaxed);
+  }
+  if (view != nullptr) *view = MakeView(id, *entry->session, entry->token);
+  return SessionStatus::kOk;
+}
+
+SessionStatus SessionManager::SubmitAnswer(
+    SessionId id, Oracle::Answer answer, SessionView* view, uint64_t token,
+    DiscoverySession::PreparedAnswer* prepared) {
   auto entry = FindOrRehydrate(id);
   if (entry == nullptr) return SessionStatus::kNotFound;
   if (entry->token != 0 && token != entry->token) {
@@ -458,7 +561,7 @@ SessionStatus SessionManager::SubmitAnswer(SessionId id, Oracle::Answer answer,
   // entry), journaled so replay reproduces a degraded step degraded.
   const uint8_t effort =
       EffortByte(effort_level_.load(std::memory_order_relaxed));
-  entry->session->SubmitAnswer(answer);
+  entry->session->SubmitAnswer(answer, prepared);
   if (entry->session->done()) {
     entry->finished.store(true, std::memory_order_relaxed);
   }

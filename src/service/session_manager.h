@@ -30,6 +30,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <thread>
 #include <unordered_map>
@@ -205,13 +206,56 @@ class SessionManager {
                      obs::TraceId journey_trace = {},
                      bool issue_token = false);
 
+  /// Create for a caller that must never wait or compute a selection (the
+  /// server's event loop): serves it in place iff no session store is
+  /// configured and the shared cache holds the first question of the
+  /// initial candidates (two or more of them); nullopt ("would block")
+  /// otherwise, with nothing created. It tries only while the last Create
+  /// that ran the ordinary way found its first question in the cache, so
+  /// workloads whose conversations all start somewhere new (distinct seed
+  /// examples) do not pay for the candidate filtering twice.
+  std::optional<SessionView> TryCreateInline(std::span<const EntityId> initial,
+                                             bool enable_trace,
+                                             obs::TraceId journey_trace,
+                                             bool issue_token);
+
   /// Current snapshot of a session (also refreshes its TTL).
   SessionStatus Get(SessionId id, SessionView* view, uint64_t token = 0);
 
   /// Answers the pending question of session `id` and advances it to the
-  /// next question, a verification, or completion.
-  SessionStatus SubmitAnswer(SessionId id, Oracle::Answer answer,
-                             SessionView* view, uint64_t token = 0);
+  /// next question, a verification, or completion. `prepared` is what a
+  /// declined TryStepInline computed; it is reused iff still current.
+  SessionStatus SubmitAnswer(
+      SessionId id, Oracle::Answer answer, SessionView* view,
+      uint64_t token = 0,
+      DiscoverySession::PreparedAnswer* prepared = nullptr);
+
+  /// SubmitAnswer for a caller that must never wait or compute a selection
+  /// (the server's event loop). Serves the answer in place iff all of:
+  ///   * a selection cache is configured, and no session store: a journal
+  ///     Put can wait behind a checkpoint rewrite that holds the store's
+  ///     lock;
+  ///   * the session is resident — a spilled one is never rehydrated here;
+  ///   * its mutex try-locks;
+  ///   * the step makes no selection: the state after the answer needs
+  ///     none, or the shared cache holds the decision it needs
+  ///     (DiscoverySession::TrySubmitAnswerWithoutSelect).
+  /// The attempt (and its partition) is made only while the cache serves
+  /// the conversation: the session's last question came from it.
+  /// A missing id or a wrong token or state is answered too (kNotFound,
+  /// kWrongState): nothing could change those but another request.
+  /// Otherwise returns nullopt ("would block") with the session unchanged;
+  /// `*prepared` may then hold the partition already computed, for
+  /// SubmitAnswer to reuse.
+  std::optional<SessionStatus> TryStepInline(
+      SessionId id, Oracle::Answer answer, SessionView* view, uint64_t token,
+      DiscoverySession::PreparedAnswer* prepared);
+
+  /// Get for the same callers: answers from a resident session whose mutex
+  /// try-locks, kNotFound for an id with nowhere to rehydrate from, and
+  /// nullopt ("would block") otherwise.
+  std::optional<SessionStatus> TryGetInline(SessionId id, SessionView* view,
+                                            uint64_t token);
 
   /// Resolves the pending verification of session `id`.
   SessionStatus Verify(SessionId id, bool confirmed, SessionView* view,
@@ -330,16 +374,27 @@ class SessionManager {
   /// a racing rehydration of the same id resolves second-wins (the loser's
   /// rebuild is dropped).
   std::shared_ptr<Entry> Rehydrate(SessionId id);
-  /// Builds a not-yet-registered entry: selector (cache-wrapped, effort
-  /// pre-applied), session over `initial`, optional tracing. The creation
-  /// Select runs here, outside any lock — or, for a rehydration, the first
-  /// of `recorded_questions` stands in for it (see
+  /// A private selector for one session: the factory's product, wrapped in
+  /// a CachingSelector when a cache is configured, at effort `effort`.
+  std::unique_ptr<EntitySelector> MakeSelector(int effort);
+  /// Builds a not-yet-registered entry: `selector` (from MakeSelector),
+  /// session over `initial`, optional tracing. The creation Select runs
+  /// here, outside any lock — or, for a rehydration or a cached first
+  /// question, the first of `recorded_questions` stands in for it (see
   /// DiscoverySession's replay constructor). Does NOT attach the live
   /// effort source — Create/Rehydrate do that once the entry's selector is
   /// at the right level.
   std::shared_ptr<Entry> NewEntry(
-      std::span<const EntityId> initial, int effort, bool enable_trace,
+      std::span<const EntityId> initial,
+      std::unique_ptr<EntitySelector> selector, bool enable_trace,
       std::vector<EntityId> recorded_questions = {});
+  /// The rest of Create once the entry is built: attaches the effort
+  /// source and trace id, then registers the session (evicting at
+  /// capacity) unless it finished at birth, and returns its first view.
+  SessionView Publish(std::shared_ptr<Entry> entry,
+                      std::span<const EntityId> initial, int create_effort,
+                      bool enable_trace, obs::TraceId journey_trace,
+                      bool issue_token);
   /// Journals one applied event — for an answer, with the question it
   /// answered — plus the question now pending, and persists the record
   /// (store configured only). Requires the entry mutex.
@@ -361,6 +416,9 @@ class SessionManager {
   /// Live degradation level; sessions point at this cell (it outlives them
   /// by construction) and re-read it at every step entry.
   std::atomic<int> effort_level_{0};
+  /// Whether the last Create that ran the ordinary way found its first
+  /// question in the cache: what TryCreateInline's attempts follow.
+  std::atomic<bool> creates_from_cache_{false};
   std::unique_ptr<ThreadPool> pool_;
 
   mutable std::mutex registry_mu_;

@@ -36,7 +36,8 @@ class ThreadPool {
   ~ThreadPool();
 
   /// Enqueues `fn` and returns a future for its result. `fn` must be
-  /// invocable with no arguments.
+  /// invocable with no arguments. Each call allocates the future's shared
+  /// state; a caller that never reads the result should Post instead.
   template <typename Fn, typename R = std::invoke_result_t<Fn>>
   std::future<R> Submit(Fn fn) {
     auto task = std::make_shared<std::packaged_task<R()>>(std::move(fn));
@@ -44,6 +45,10 @@ class ThreadPool {
     Enqueue([task]() { (*task)(); });
     return future;
   }
+
+  /// Enqueues `fn` with no future: fire and forget. `fn` must not throw
+  /// (nothing would observe the exception; it escapes the worker).
+  void Post(std::function<void()> fn) { Enqueue(std::move(fn)); }
 
   size_t num_threads() const { return workers_.size(); }
 

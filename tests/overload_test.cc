@@ -20,8 +20,10 @@
 #include "core/klp.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "obs/registry.h"
 #include "service/discovery_session.h"
 #include "service/load_controller.h"
+#include "service/selection_cache.h"
 #include "service/session_manager.h"
 #include "test_util.h"
 
@@ -357,6 +359,75 @@ TEST(Overload, SaturatingHerdIsServedCorrectlyUnderRealControl) {
   // Every conversation the server agreed to serve ended in the right set —
   // degraded or not, shed or admitted, correctness is non-negotiable.
   EXPECT_EQ(wrong.load(), 0);
+}
+
+// The event loop serves cache-hit Answers in place, off the pool; those
+// steps must still reach the controller's latency sensor, which reads
+// setdisc_step_latency_ns (as the CLI wires it) wherever a step ran.
+TEST(Overload, InlineStepsReachTheControllersLatencySensor) {
+  SetCollection c = RandomCollection(/*seed=*/23, /*n=*/80, /*m=*/32, 0.3);
+  InvertedIndex idx(c);
+  SelectionCache cache;
+  SessionManagerOptions manager_options = ManagerOptions();
+  manager_options.selection_cache = &cache;
+  SessionManager manager(c, idx, manager_options);
+  auto server = StartServer(manager);
+
+  // Every conversation once; returns the Answers sent.
+  auto drive = [&] {
+    uint64_t answers = 0;
+    DiscoveryClient client;
+    EXPECT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+    for (SetId target = 0; target < c.num_sets(); ++target) {
+      SimulatedOracle oracle(&c, target);
+      SessionStateMsg state;
+      Status s = client.CreateSession({}, &state);
+      while (s.ok() && state.state == SessionState::kAwaitingAnswer) {
+        s = client.Answer(state.session_id,
+                          oracle.AskMembership(state.question), &state);
+        ++answers;
+      }
+      EXPECT_TRUE(s.ok());
+      EXPECT_EQ(ToDiscoveryResult(state.result).discovered(), target);
+      client.CloseSession(state.session_id);
+    }
+    return answers;
+  };
+  drive();  // warms the cache: the second pass is served mostly in place
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  LoadControllerOptions controller_options;
+  controller_options.target_p99_ns = 60'000'000'000;  // senses, never acts
+  LoadController controller(
+      controller_options,
+      [&registry] {
+        LoadSample sample;
+        sample.step_latency =
+            registry.MergedHistogram("setdisc_step_latency_ns");
+        return sample;
+      },
+      [] { return size_t{0}; });
+  controller.Tick();  // the window starts here
+  auto inline_answers = [&registry] {
+    return registry
+        .GetHistogram("setdisc_request_ns",
+                      {{"op", "answer"}, {"path", "inline"}})
+        ->Snapshot()
+        .count;
+  };
+  const uint64_t inline_before = inline_answers();
+  const uint64_t steps_before =
+      registry.MergedHistogram("setdisc_step_latency_ns").count;
+  const uint64_t answers = drive();
+  EXPECT_GT(inline_answers(), inline_before);
+  // One step per Answer, wherever it ran.
+  EXPECT_EQ(registry.MergedHistogram("setdisc_step_latency_ns").count -
+                steps_before,
+            answers);
+  ASSERT_GE(answers, controller_options.min_window_count);
+  controller.Tick();
+  EXPECT_GT(controller.last_window_p99_ns(), 0u);
+  EXPECT_EQ(controller.effort_level(), 0);
 }
 
 }  // namespace

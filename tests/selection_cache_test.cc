@@ -182,6 +182,39 @@ TEST(CachingSelector, SecondSelectorHitsWhatTheFirstMemoized) {
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
+// TrySelectCached serves what the cache holds as that decision's one
+// lookup, and on a miss counts nothing, so the Select() that follows it
+// keeps hits + misses == lookups with one lookup per decision.
+TEST(CachingSelector, TrySelectCachedCountsOnlyAHit) {
+  SetCollection c = MakePaperCollection();
+  SubCollection full = SubCollection::Full(&c);
+  SelectionCache cache;
+  CachingSelector selector(std::make_unique<MostEvenSelector>(), &cache);
+
+  EntityId out = kNoEntity;
+  EXPECT_FALSE(selector.TrySelectCached(full, nullptr, &out));
+  EXPECT_EQ(cache.stats().lookups, 0u);
+  const EntityId chosen = selector.Select(full);  // the miss, counted once
+  ASSERT_TRUE(selector.TrySelectCached(full, nullptr, &out));
+  EXPECT_EQ(out, chosen);
+  SelectionCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.lookups, 2u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+
+  // A state the admission policy bypasses is never served from the cache.
+  SelectionCacheOptions options;
+  options.skip_singleton_exclusions = true;
+  SelectionCache skipping(options);
+  CachingSelector bypassing(std::make_unique<MostEvenSelector>(), &skipping);
+  EntityExclusion one;
+  one.Set(chosen);
+  bypassing.Select(full, &one);
+  EXPECT_FALSE(bypassing.TrySelectCached(full, &one, &out));
+  EXPECT_EQ(skipping.stats().lookups, 0u);
+  EXPECT_EQ(skipping.stats().bypasses, 1u);
+}
+
 TEST(CachingSelector, DifferentCollectionsNeverCrossHit) {
   // Set ids are dense per collection, so the Fig. 1 collection and its §4.3
   // variant C2 have identical sub-collection fingerprints for Full(); the

@@ -10,16 +10,24 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <future>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
+#include "core/discovery.h"
 #include "core/selectors.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "net/socket.h"
 #include "obs/event_log.h"
 #include "obs/journey.h"
+#include "obs/registry.h"
 #include "service/discovery_session.h"
+#include "service/selection_cache.h"
 #include "service/session_manager.h"
 #include "test_util.h"
 
@@ -838,6 +846,319 @@ TEST(DiscoveryServer, GetTraceErrorsMatchSessionState) {
 }
 
 // ---------------------------------------------------------------------------
+// Steps served on the event loop
+// ---------------------------------------------------------------------------
+
+/// The threads Select() ran on, shared by every selector of one manager.
+struct SelectLog {
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  uint64_t selects = 0;
+};
+
+/// MostEven behind a forwarding selector that records the thread of every
+/// Select — the selector under the manager's CachingSelector, so it runs
+/// exactly when a decision is computed rather than served from the cache.
+/// `delay` makes each computed decision hold the session mutex that long.
+class RecordingSelector : public EntitySelector {
+ public:
+  RecordingSelector(SelectLog* log, std::chrono::microseconds delay = {})
+      : log_(log), delay_(delay) {}
+
+  EntityId Select(const SubCollection& sub,
+                  const EntityExclusion* excluded) override {
+    {
+      std::lock_guard<std::mutex> lock(log_->mu);
+      log_->threads.insert(std::this_thread::get_id());
+      ++log_->selects;
+    }
+    if (delay_.count() > 0) std::this_thread::sleep_for(delay_);
+    return inner_.Select(sub, excluded);
+  }
+  std::string_view name() const override { return inner_.name(); }
+  void NotePartition(const SubCollection& parent, EntityId e,
+                     bool kept_contains, const SubCollection& kept,
+                     SubCollection dropped) override {
+    inner_.NotePartition(parent, e, kept_contains, kept, std::move(dropped));
+  }
+  void InvalidateCountState() override { inner_.InvalidateCountState(); }
+  void ReleaseMemory() override { inner_.ReleaseMemory(); }
+
+ private:
+  MostEvenSelector inner_;
+  SelectLog* log_;
+  std::chrono::microseconds delay_;
+};
+
+/// The ids of every worker of `pool`: one job per worker, each held until
+/// all have started, so no worker can take two.
+std::set<std::thread::id> WorkerThreads(ThreadPool& pool) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> ids;
+  const size_t n = pool.num_threads();
+  std::vector<std::future<void>> jobs;
+  for (size_t i = 0; i < n; ++i) {
+    jobs.push_back(pool.Submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      ids.insert(std::this_thread::get_id());
+      cv.notify_all();
+      cv.wait(lock, [&] { return ids.size() == n; });
+    }));
+  }
+  for (std::future<void>& job : jobs) job.get();
+  return ids;
+}
+
+/// Requests of one op the event loop served in place, so far.
+uint64_t InlineServed(const char* op) {
+  return obs::MetricsRegistry::Default()
+      .GetHistogram("setdisc_request_ns", {{"op", op}, {"path", "inline"}})
+      ->Snapshot()
+      .count;
+}
+
+TEST(DiscoveryServer, InlineStepsNeverSelectOnTheLoopThread) {
+  SetCollection c = RandomCollection(/*seed=*/41, /*n=*/96, /*m=*/40, 0.3);
+  InvertedIndex idx(c);
+  SelectLog log;
+  SelectionCache cache;
+  SessionManagerOptions options = ManagerOptions();
+  options.num_threads = 2;
+  options.selector_factory = [&log] {
+    return std::make_unique<RecordingSelector>(&log);
+  };
+  options.selection_cache = &cache;
+  SessionManager manager(c, idx, options);
+  const std::set<std::thread::id> workers = WorkerThreads(manager.pool());
+  ASSERT_EQ(workers.size(), 2u);
+  auto server = StartServer(manager);
+
+  // The reference transcripts, with don't-knows so the pooled re-select
+  // path is in the mix.
+  auto oracle_for = [&c](SetId target) {
+    return SimulatedOracle(&c, target, /*error_rate=*/0.0,
+                           /*dont_know_rate=*/0.1, /*seed=*/100 + target);
+  };
+  std::vector<DiscoveryResult> expected(c.num_sets());
+  for (SetId target = 0; target < c.num_sets(); ++target) {
+    MostEvenSelector selector;
+    SimulatedOracle oracle = oracle_for(target);
+    expected[target] =
+        Discover(c, idx, {}, selector, oracle, options.discovery);
+  }
+
+  // Three clients split the targets; the first pass meets a cold cache
+  // (every key misses on first use), the second a warm one.
+  auto pass = [&] {
+    constexpr SetId kClients = 3;
+    std::vector<std::thread> clients;
+    for (SetId k = 0; k < kClients; ++k) {
+      clients.emplace_back([&, k] {
+        DiscoveryClient client;
+        ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+        for (SetId target = k; target < c.num_sets(); target += kClients) {
+          SimulatedOracle oracle = oracle_for(target);
+          SessionStateMsg state;
+          ASSERT_TRUE(DriveRemote(client, {}, oracle, &state).ok());
+          ASSERT_EQ(state.state, SessionState::kFinished);
+          ExpectSameResult(expected[target], ToDiscoveryResult(state.result));
+          EXPECT_TRUE(client.CloseSession(state.session_id).ok());
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+  };
+  pass();
+  const uint64_t cold_selects = log.selects;
+  const uint64_t before_warm = InlineServed("answer");
+  pass();
+  EXPECT_GT(InlineServed("answer"), before_warm);
+  EXPECT_GT(cold_selects, 0u);
+  EXPECT_EQ(cache.stats().hits + cache.stats().misses, cache.stats().lookups);
+
+  std::lock_guard<std::mutex> lock(log.mu);
+  for (std::thread::id id : log.threads) {
+    EXPECT_TRUE(workers.count(id) == 1) << "a Select ran off the pool";
+  }
+}
+
+/// MostEven whose Select, once armed, reports that it started and then
+/// waits for the test to open the gate — holding the session mutex.
+struct Gate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool armed = false;
+  bool entered = false;
+  bool open = false;
+};
+
+class GatedSelector : public EntitySelector {
+ public:
+  explicit GatedSelector(Gate* gate) : gate_(gate) {}
+  EntityId Select(const SubCollection& sub,
+                  const EntityExclusion* excluded) override {
+    {
+      std::unique_lock<std::mutex> lock(gate_->mu);
+      if (gate_->armed) {
+        gate_->entered = true;
+        gate_->cv.notify_all();
+        gate_->cv.wait(lock, [this] { return gate_->open; });
+      }
+    }
+    return inner_.Select(sub, excluded);
+  }
+  std::string_view name() const override { return inner_.name(); }
+
+ private:
+  MostEvenSelector inner_;
+  Gate* gate_;
+};
+
+// A Get that finds the session mutex held by a pooled step cannot be
+// served in place: it falls back to the pool and waits there, so its reply
+// shows the step's outcome. A pipelined Get behind it answers after it.
+TEST(DiscoveryServer, GetBehindAPooledStepFallsBackToThePool) {
+  SetCollection c = RandomCollection(/*seed=*/45, /*n=*/64, /*m=*/32, 0.3);
+  InvertedIndex idx(c);
+  Gate gate;
+  SessionManagerOptions options = ManagerOptions();
+  options.num_threads = 2;
+  options.selector_factory = [&gate] {
+    return std::make_unique<GatedSelector>(&gate);
+  };
+  SessionManager manager(c, idx, options);
+  auto server = StartServer(manager);
+
+  DiscoveryClient creator;
+  creator.set_want_token(false);  // the raw frames below carry none
+  ASSERT_TRUE(creator.Connect("127.0.0.1", server->port()).ok());
+  SessionStateMsg created;
+  ASSERT_TRUE(creator.CreateSession({}, &created).ok());
+  ASSERT_EQ(created.state, SessionState::kAwaitingAnswer);
+  const uint64_t id = created.session_id;
+  {
+    std::lock_guard<std::mutex> lock(gate.mu);
+    gate.armed = true;
+  }
+
+  // Without a cache the Answer's next question is computed: on the pool,
+  // where it stops at the gate holding the session mutex.
+  RawConn answerer(server->port());
+  answerer.Send(Encode(AnswerMsg{id, Oracle::Answer::kYes}));
+  {
+    std::unique_lock<std::mutex> lock(gate.mu);
+    ASSERT_TRUE(gate.cv.wait_for(lock, std::chrono::seconds(5),
+                                 [&] { return gate.entered; }));
+  }
+  SessionRefMsg ref;
+  ref.session_id = id;
+  RawConn getter(server->port());
+  getter.Send(Encode(MsgType::kGetSession, ref) +
+              Encode(MsgType::kGetSession, ref));
+  Frame frame;
+  // Served in place, the Get would have answered at once, before the step.
+  EXPECT_EQ(getter.ReadFrame(&frame, 200), FrameDecoder::Next::kNeedMore);
+  {
+    std::lock_guard<std::mutex> lock(gate.mu);
+    gate.armed = false;
+    gate.open = true;
+  }
+  gate.cv.notify_all();
+
+  ASSERT_EQ(answerer.ReadFrame(&frame), FrameDecoder::Next::kFrame);
+  ASSERT_EQ(frame.type, MsgType::kSessionState);
+  SessionStateMsg stepped;
+  ASSERT_TRUE(Decode(frame.body, &stepped));
+  EXPECT_EQ(stepped.questions_asked, 1u);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(getter.ReadFrame(&frame), FrameDecoder::Next::kFrame);
+    ASSERT_EQ(frame.type, MsgType::kSessionState);
+    SessionStateMsg got;
+    ASSERT_TRUE(Decode(frame.body, &got));
+    EXPECT_EQ(got.questions_asked, 1u) << "Get " << i;
+    EXPECT_EQ(got.question, stepped.question);
+  }
+  EXPECT_TRUE(creator.CloseSession(id).ok());
+}
+
+// Two connections answer and Get one session while a third closes it. A
+// Get or Answer that finds the session mutex held by a pooled step (a
+// cache miss, made slow here) cannot be served in place and falls back to
+// the pool; replies on every connection must still come back one per
+// request, in request order.
+TEST(DiscoveryServer, InlineAndPooledStepsRaceOnOneSession) {
+  SetCollection c = RandomCollection(/*seed=*/43, /*n=*/200, /*m=*/48, 0.3);
+  InvertedIndex idx(c);
+  SelectLog log;
+  SelectionCache cache;
+  SessionManagerOptions options = ManagerOptions();
+  options.num_threads = 2;
+  options.selector_factory = [&log] {
+    return std::make_unique<RecordingSelector>(
+        &log, std::chrono::microseconds(300));
+  };
+  options.selection_cache = &cache;
+  SessionManager manager(c, idx, options);
+  auto server = StartServer(manager);
+
+  for (int round = 0; round < 8; ++round) {
+    DiscoveryClient creator;
+    creator.set_want_token(false);  // the raw frames below carry none
+    ASSERT_TRUE(creator.Connect("127.0.0.1", server->port()).ok());
+    SessionStateMsg created;
+    ASSERT_TRUE(creator.CreateSession({}, &created).ok());
+    const uint64_t id = created.session_id;
+
+    // Each stepping connection pipelines alternating Get and Answer
+    // requests in one write, then reads every reply.
+    constexpr int kRequests = 24;
+    auto stepper = [&](Oracle::Answer answer) {
+      RawConn conn(server->port());
+      std::string batch;
+      for (int i = 0; i < kRequests; ++i) {
+        SessionRefMsg get;
+        get.session_id = id;
+        batch += i % 2 == 0 ? Encode(MsgType::kGetSession, get)
+                            : Encode(AnswerMsg{id, answer});
+      }
+      conn.Send(batch);
+      int last_asked = -1;
+      for (int i = 0; i < kRequests; ++i) {
+        Frame frame;
+        ASSERT_EQ(conn.ReadFrame(&frame, 5000), FrameDecoder::Next::kFrame)
+            << "reply " << i;
+        if (frame.type == MsgType::kError) {
+          ErrorMsg error;
+          ASSERT_TRUE(Decode(frame.body, &error));
+          // Closed under us, or finished before this Answer arrived.
+          EXPECT_TRUE(error.status == WireStatus::kNotFound ||
+                      (i % 2 == 1 && error.status == WireStatus::kWrongState))
+              << WireStatusName(error.status);
+          continue;
+        }
+        ASSERT_EQ(frame.type, MsgType::kSessionState);
+        SessionStateMsg state;
+        ASSERT_TRUE(Decode(frame.body, &state));
+        EXPECT_EQ(state.session_id, id);
+        // The session only moves forward, and this connection's replies
+        // arrive in its request order.
+        const int asked = static_cast<int>(state.questions_asked);
+        EXPECT_GE(asked, last_asked) << "reply " << i;
+        last_asked = asked;
+      }
+    };
+    std::thread a(stepper, Oracle::Answer::kNo);
+    std::thread b(stepper, Oracle::Answer::kYes);
+    std::this_thread::sleep_for(std::chrono::microseconds(200 * round));
+    creator.CloseSession(id);  // may lose the race to the session's end
+    a.join();
+    b.join();
+  }
+  EXPECT_EQ(manager.num_active(), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Request-journey tracing end to end
 // ---------------------------------------------------------------------------
 
@@ -851,31 +1172,39 @@ TEST(DiscoveryServer, JourneySpansReconstructTheRequestTree) {
   JourneyOn journey;
   SetCollection c = MakePaperCollection();
   InvertedIndex idx(c);
-  SessionManager manager(c, idx, ManagerOptions());
+  SelectionCache cache;
+  SessionManagerOptions options = ManagerOptions();
+  options.selection_cache = &cache;
+  SessionManager manager(c, idx, options);
   auto server = StartServer(manager);
 
   DiscoveryClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
   // The client pins the trace id; the server threads it through the pool
-  // job, the session, and every step.
+  // job or the in-place attempt, the session, and every step. The same
+  // conversation runs twice under it: the first meets a cold cache and is
+  // served on the pool; the second's Create runs there too (the first
+  // Create missed), and its cached steps are served in place.
   const obs::TraceId trace = obs::MakeTraceId();
   client.set_trace_id(trace.hi, trace.lo);
 
-  SessionStateMsg state;
-  ASSERT_TRUE(client.CreateSession({}, &state).ok());
-  EXPECT_EQ(client.sent_trace_hi(), trace.hi);
-  EXPECT_EQ(client.sent_trace_lo(), trace.lo);
-  SimulatedOracle oracle(&c, /*target=*/2);
   uint32_t steps = 0;
-  while (state.state == SessionState::kAwaitingAnswer) {
-    ASSERT_TRUE(client
-                    .Answer(state.session_id,
-                            oracle.AskMembership(state.question), &state)
-                    .ok());
-    ++steps;
-    ASSERT_LT(steps, 100u);
+  for (int round = 0; round < 2; ++round) {
+    SessionStateMsg state;
+    ASSERT_TRUE(client.CreateSession({}, &state).ok());
+    EXPECT_EQ(client.sent_trace_hi(), trace.hi);
+    EXPECT_EQ(client.sent_trace_lo(), trace.lo);
+    SimulatedOracle oracle(&c, /*target=*/2);
+    while (state.state == SessionState::kAwaitingAnswer) {
+      ASSERT_TRUE(client
+                      .Answer(state.session_id,
+                              oracle.AskMembership(state.question), &state)
+                      .ok());
+      ++steps;
+      ASSERT_LT(steps, 100u);
+    }
+    ASSERT_EQ(state.state, SessionState::kFinished);
   }
-  ASSERT_EQ(state.state, SessionState::kFinished);
   ASSERT_GT(steps, 0u);
 
   // Reconstruct the span tree for our trace id from the process ring.
@@ -884,6 +1213,7 @@ TEST(DiscoveryServer, JourneySpansReconstructTheRequestTree) {
     if (s.trace_hi == trace.hi && s.trace_lo == trace.lo) ours.push_back(s);
   }
   size_t create_reqs = 0, answer_reqs = 0, queue_waits = 0, step_spans = 0;
+  size_t pooled_reqs = 0;
   std::vector<uint64_t> request_ids;
   for (const obs::Span& s : ours) {
     const std::string name(s.name);
@@ -891,9 +1221,17 @@ TEST(DiscoveryServer, JourneySpansReconstructTheRequestTree) {
       EXPECT_EQ(s.parent_id, 0u) << name << " must be a root span";
       request_ids.push_back(s.span_id);
       (name == "req:create" ? create_reqs : answer_reqs)++;
+      // The path annotation says who served it: the pool, or the loop in
+      // place (the cached steps).
+      std::string path;
+      for (uint8_t i = 0; i < s.num_annotations; ++i) {
+        if (std::string(s.ann_key[i]) == "path") path = s.ann_value[i];
+      }
+      EXPECT_TRUE(path == "pool" || path == "inline") << path;
+      if (path == "pool") ++pooled_reqs;
     }
   }
-  EXPECT_EQ(create_reqs, 1u);
+  EXPECT_EQ(create_reqs, 2u);
   EXPECT_EQ(answer_reqs, static_cast<size_t>(steps));
   auto is_request = [&](uint64_t id) {
     return std::find(request_ids.begin(), request_ids.end(), id) !=
@@ -914,7 +1252,10 @@ TEST(DiscoveryServer, JourneySpansReconstructTheRequestTree) {
       ++step_spans;
     }
   }
-  EXPECT_EQ(queue_waits, request_ids.size());  // one wait child per request
+  // One wait child per pooled request; a request served in place has none.
+  EXPECT_EQ(queue_waits, pooled_reqs);
+  EXPECT_GT(pooled_reqs, 0u);
+  EXPECT_LT(pooled_reqs, request_ids.size());
   EXPECT_EQ(step_spans, static_cast<size_t>(steps));
 
   // The same spans render as loadable Chrome trace JSON.

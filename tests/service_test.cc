@@ -7,10 +7,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
+#include <unordered_map>
 
 #include "core/selectors.h"
 #include "service/discovery_session.h"
+#include "service/selection_cache.h"
 #include "service/session_manager.h"
 #include "util/thread_pool.h"
 #include "test_util.h"
@@ -482,6 +485,208 @@ TEST(SessionManager, SharedCacheMatchesUncachedTranscripts) {
   SelectionCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
   EXPECT_GT(stats.hits, 0u);  // sessions share root decisions
+}
+
+// Drives one conversation the way the server's event loop does: every
+// Create, Answer and Get is first tried without blocking, and what is
+// declined runs the ordinary way, reusing the declined answer's partition.
+// Returns how many requests were served by the non-blocking calls.
+int DriveInlineFirst(SessionManager& manager, Oracle& oracle,
+                     SessionView* out) {
+  int served = 0;
+  std::optional<SessionView> created =
+      manager.TryCreateInline({}, false, {}, false);
+  SessionView view = created.has_value() ? *created : manager.Create({});
+  served += created.has_value();
+  int guard = 0;
+  while (view.state != SessionState::kFinished && guard++ < 100000) {
+    SessionView got;
+    std::optional<SessionStatus> status = manager.TryGetInline(view.id, &got, 0);
+    EXPECT_EQ(status, SessionStatus::kOk);  // nobody else holds the session
+    EXPECT_EQ(got.question, view.question);
+    if (view.state == SessionState::kAwaitingVerify) {
+      EXPECT_EQ(manager.Verify(view.id, oracle.ConfirmTarget(view.verify_set),
+                               &view),
+                SessionStatus::kOk);
+      continue;
+    }
+    const Oracle::Answer answer = oracle.AskMembership(view.question);
+    DiscoverySession::PreparedAnswer prepared;
+    status = manager.TryStepInline(view.id, answer, &view, 0, &prepared);
+    if (status.has_value()) {
+      EXPECT_EQ(*status, SessionStatus::kOk);
+      ++served;
+      continue;
+    }
+    EXPECT_EQ(manager.SubmitAnswer(view.id, answer, &view, 0, &prepared),
+              SessionStatus::kOk);
+  }
+  *out = view;
+  return served;
+}
+
+// Serving steps in place changes nothing a client or the cache can see:
+// the transcripts are Discover()'s, and the cache counts exactly the
+// lookups, hits, misses and insertions of a manager that never does.
+TEST(SessionManager, InlineServingMatchesPooledTranscriptsAndCacheCounts) {
+  SetCollection c = RandomCollection(/*seed=*/61, /*n=*/60, /*m=*/36, 0.3);
+  InvertedIndex idx(c);
+  for (const bool verify : {false, true}) {
+    SelectionCache pooled_cache, inline_cache;
+    SessionManagerOptions options = ManagerOptions();
+    options.discovery.verify_and_backtrack = verify;
+    options.selection_cache = &pooled_cache;
+    SessionManager pooled(c, idx, options);
+    options.selection_cache = &inline_cache;
+    SessionManager inlined(c, idx, options);
+    int served = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (SetId target = 0; target < c.num_sets(); ++target) {
+        auto oracle = [&] {
+          return SimulatedOracle(&c, target, verify ? 0.1 : 0.0,
+                                 /*dont_know_rate=*/0.15, 50 + target);
+        };
+        SimulatedOracle oracle_ref = oracle();
+        MostEvenSelector sel;
+        DiscoveryResult ref =
+            Discover(c, idx, {}, sel, oracle_ref, options.discovery);
+
+        SimulatedOracle oracle_pooled = oracle();
+        SessionView pooled_view =
+            pooled.Drive(pooled.Create({}), oracle_pooled);
+        ExpectSameResult(ref, pooled_view.result);
+
+        SimulatedOracle oracle_inline = oracle();
+        SessionView inline_view;
+        served += DriveInlineFirst(inlined, oracle_inline, &inline_view);
+        ASSERT_EQ(inline_view.state, SessionState::kFinished);
+        ExpectSameResult(ref, inline_view.result);
+      }
+    }
+    EXPECT_GT(served, 0);
+    const SelectionCacheStats a = pooled_cache.stats();
+    const SelectionCacheStats b = inline_cache.stats();
+    EXPECT_EQ(b.hits + b.misses, b.lookups);
+    EXPECT_EQ(a.lookups, b.lookups);
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.insertions, b.insertions);
+  }
+  // Unknown ids are answered without blocking too.
+  SelectionCache cache;
+  SessionManagerOptions options = ManagerOptions();
+  options.selection_cache = &cache;
+  SessionManager manager(c, idx, options);
+  SessionView view;
+  EXPECT_EQ(manager.TryGetInline(12345, &view, 0), SessionStatus::kNotFound);
+  DiscoverySession::PreparedAnswer prepared;
+  EXPECT_EQ(manager.TryStepInline(12345, Oracle::Answer::kYes, &view, 0,
+                                  &prepared),
+            SessionStatus::kNotFound);
+}
+
+// A declined step leaves the session exactly as it was and hands back its
+// partition; SubmitAnswer reuses that only while it is current, so a stale
+// one — even one prepared for the same question at an earlier step, which
+// backtracking can ask again over other candidates — is recomputed, and
+// every transcript stays Discover()'s.
+TEST(DiscoverySession, DeclinedStepsLeaveTheSessionUntouched) {
+  SetCollection c = RandomCollection(/*seed=*/62, /*n=*/50, /*m=*/30, 0.3);
+  InvertedIndex idx(c);
+  for (const bool verify : {false, true}) {
+    DiscoveryOptions options;
+    options.verify_and_backtrack = verify;
+    const double error_rate = verify ? 0.2 : 0.0;
+    SelectionCache cache;  // shared by the conversations, as in a manager
+    int served = 0, declined = 0;
+    for (SetId target = 0; target < c.num_sets(); ++target) {
+      CachingSelector memo(std::make_unique<MostEvenSelector>(), &cache);
+      DiscoverySession session(c, idx, {}, memo, options);
+      SimulatedOracle oracle(&c, target, error_rate, 0.0, 70 + target);
+      std::unordered_map<EntityId, DiscoverySession::PreparedAnswer> earlier;
+      DiscoverySession::PreparedAnswer stale;
+      int guard = 0;
+      while (!session.done() && guard++ < 1000) {
+        if (session.state() == SessionState::kAwaitingVerify) {
+          session.Verify(oracle.ConfirmTarget(session.PendingVerify()));
+          continue;
+        }
+        const EntityId question = session.NextQuestion();
+        const Oracle::Answer answer = oracle.AskMembership(question);
+        const size_t candidates = session.num_candidates();
+        const int asked = session.result().questions;
+        DiscoverySession::PreparedAnswer prepared;
+        if (session.TrySubmitAnswerWithoutSelect(answer, memo, &prepared)) {
+          ++served;
+          continue;
+        }
+        ++declined;
+        EXPECT_EQ(session.NextQuestion(), question);
+        EXPECT_EQ(session.num_candidates(), candidates);
+        EXPECT_EQ(session.result().questions, asked);
+        // Offer an earlier step's partition for this question if there is
+        // one, else alternate between the current and the previous step's.
+        DiscoverySession::PreparedAnswer current = prepared;
+        auto it = earlier.find(question);
+        session.SubmitAnswer(answer, it != earlier.end() ? &it->second
+                                     : guard % 2 == 0    ? &prepared
+                                                         : &stale);
+        earlier[question] = current;
+        stale = std::move(current);
+      }
+      ASSERT_TRUE(session.done());
+      MostEvenSelector sel;
+      SimulatedOracle oracle_ref(&c, target, error_rate, 0.0, 70 + target);
+      ExpectSameResult(Discover(c, idx, {}, sel, oracle_ref, options),
+                       session.result());
+    }
+    EXPECT_GT(served, 0);
+    EXPECT_GT(declined, 0);
+    const SelectionCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
+  }
+}
+
+// The loop tries a step in place only while the cache is serving the
+// conversation: after a computed question the next Answer goes to the pool
+// untried, even when the cache happens to hold its decision; and Creates
+// are tried only after the last ordinary Create found its first question
+// cached.
+TEST(SessionManager, InPlaceAttemptsFollowTheCache) {
+  SetCollection c = MakePaperCollection();
+  InvertedIndex idx(c);
+  SelectionCache cache;
+  SessionManagerOptions options = ManagerOptions();
+  options.selection_cache = &cache;
+  SessionManager manager(c, idx, options);
+
+  EXPECT_FALSE(manager.TryCreateInline({}, false, {}, false).has_value());
+  SessionView computed = manager.Create({});  // a cold cache: computed
+  ASSERT_EQ(computed.state, SessionState::kAwaitingAnswer);
+  EXPECT_FALSE(manager.TryCreateInline({}, false, {}, false).has_value());
+  SessionView cached = manager.Create({});  // served by the cache
+  std::optional<SessionView> in_place =
+      manager.TryCreateInline({}, false, {}, false);
+  ASSERT_TRUE(in_place.has_value());
+  EXPECT_EQ(in_place->question, computed.question);
+
+  // `cached` computes the state after a yes; `computed` then reaches it.
+  SessionView view;
+  ASSERT_EQ(manager.SubmitAnswer(cached.id, Oracle::Answer::kYes, &view),
+            SessionStatus::kOk);
+  DiscoverySession::PreparedAnswer prepared;
+  EXPECT_FALSE(manager
+                   .TryStepInline(computed.id, Oracle::Answer::kYes, &view, 0,
+                                  &prepared)
+                   .has_value());
+  ASSERT_EQ(manager.SubmitAnswer(computed.id, Oracle::Answer::kYes, &view, 0,
+                                 &prepared),
+            SessionStatus::kOk);
+  // That decision came from the cache, so the in-place session is served.
+  EXPECT_TRUE(manager
+                  .TryStepInline(in_place->id, Oracle::Answer::kYes, &view, 0,
+                                 &prepared)
+                  .has_value());
 }
 
 TEST(SessionManager, SubmitAnswerAsyncCompletesASession) {

@@ -754,6 +754,29 @@ struct ReplayFixture {
   }
 };
 
+// With a store, every Answer journals a record, and a journal write can
+// wait behind a checkpoint: no Create or Answer is served without blocking,
+// and a Get is only while the session is resident — a spilled one would
+// rehydrate.
+TEST(RecordedReplay, StoreKeepsCreatesAndAnswersOffTheNonBlockingPath) {
+  ReplayFixture f("inline");
+  SessionView first = f.manager->Create({});
+  ASSERT_EQ(first.state, SessionState::kAwaitingAnswer);
+  EXPECT_FALSE(f.manager->TryCreateInline({}, false, {}, false).has_value());
+  SessionView view;
+  EXPECT_EQ(f.manager->TryGetInline(first.id, &view, 0), SessionStatus::kOk);
+  EXPECT_EQ(view.question, first.question);
+  DiscoverySession::PreparedAnswer prepared;
+  EXPECT_FALSE(f.manager
+                   ->TryStepInline(first.id, Oracle::Answer::kYes, &view, 0,
+                                   &prepared)
+                   .has_value());
+  f.manager->Create({});  // capacity 1: spills the first session
+  EXPECT_FALSE(f.manager->TryGetInline(first.id, &view, 0).has_value());
+  EXPECT_EQ(f.manager->Get(first.id, &view), SessionStatus::kOk);
+  EXPECT_EQ(view.question, first.question);
+}
+
 TEST(RecordedReplay, RehydrationMakesNoSelectCalls) {
   ReplayFixture f("noselect");
   SimulatedOracle oracle(&f.c, /*target=*/5, 0.0, /*dont_know_rate=*/0.3, 9);
