@@ -1,15 +1,26 @@
 #include "collection/serialization.h"
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <memory>
+#include <string_view>
 
 namespace setdisc {
 
 namespace {
 
 constexpr uint64_t kMagic = 0x5345544449534331ULL;  // "SETDISC1"
+
+/// The text format's separators: the C locale's six whitespace bytes.
+bool IsTextSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
 
 }  // namespace
 
@@ -120,21 +131,81 @@ Status SaveCollectionText(const SetCollection& collection,
   return Status::OK();
 }
 
-Status LoadCollectionText(const std::string& path, SetCollection* out) {
-  std::ifstream f(path);
-  if (!f) return Status::IoError("cannot open for read: " + path);
+namespace {
+
+Status ReadCollectionText(const std::string& path, SetCollection* out) {
+  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
+  if (f == nullptr) return Status::IoError("cannot open for read: " + path);
+  // The buffer below is the only one; stdio's own would copy every byte.
+  std::setvbuf(f.get(), nullptr, _IONBF, 0);
+
   SetCollectionBuilder builder;
-  std::string line;
-  while (std::getline(f, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ss(line);
-    std::vector<std::string> names;
-    std::string tok;
-    while (ss >> tok) names.push_back(tok);
-    if (!names.empty()) builder.AddSetNamed(names);
+  std::vector<std::string_view> names;
+  std::vector<EntityId> ids;
+  auto add_line = [&](const char* p, const char* end) {
+    if (p == end || *p == '#') return;
+    names.clear();
+    while (true) {
+      while (p != end && IsTextSpace(*p)) ++p;
+      if (p == end) break;
+      const char* name = p;
+      while (p != end && !IsTextSpace(*p)) ++p;
+      names.emplace_back(name, p - name);
+    }
+    if (names.empty()) return;
+    ids.clear();
+    builder.dict().InternAll(names, &ids);
+    builder.AddSet(ids);
+  };
+
+  // Bytes [begin, end) of `buf` are read but not yet consumed; the ones
+  // before `scanned` hold no newline. A partial last line moves to the
+  // front before each refill, and the buffer doubles only when one line
+  // fills it.
+  std::vector<char> buf(kTextReadBufferBytes);
+  size_t begin = 0, scanned = 0, end = 0;
+  while (true) {
+    const size_t want = buf.size() - end;
+    const size_t got = std::fread(buf.data() + end, 1, want, f.get());
+    end += got;
+    const bool last = got < want;
+    if (last && std::ferror(f.get())) {
+      return Status::IoError("read failed: " + path);
+    }
+    const char* data = buf.data();
+    while (const void* nl = std::memchr(data + scanned, '\n', end - scanned)) {
+      const size_t line_end = static_cast<const char*>(nl) - data;
+      add_line(data + begin, data + line_end);
+      begin = scanned = line_end + 1;
+    }
+    if (last) {
+      add_line(data + begin, data + end);
+      break;
+    }
+    std::memmove(buf.data(), data + begin, end - begin);
+    end -= begin;
+    begin = 0;
+    scanned = end;
+    if (end == buf.size()) buf.resize(2 * buf.size());
   }
   *out = builder.Build();
   return Status::OK();
+}
+
+}  // namespace
+
+Status LoadCollectionText(const std::string& path, SetCollection* out) {
+  Status status = ReadCollectionText(path, out);
+#ifdef __GLIBC__
+  // The load frees its working set (the builder's per-set vectors, the read
+  // buffer) in the middle of the heap, under the collection it built, and
+  // glibc keeps those pages resident. Returning them here keeps a serving
+  // process's peak RSS down: without it, perfbench's parked_resume_wal
+  // peaked at ~29 MB instead of ~22 MB.
+  malloc_trim(0);
+#endif
+  return status;
 }
 
 }  // namespace setdisc

@@ -1,7 +1,6 @@
 #include "collection/set_collection.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "collection/fingerprint.h"
 
@@ -31,7 +30,6 @@ size_t SetCollectionBuilder::AddSet(std::vector<EntityId> elements,
 
 size_t SetCollectionBuilder::AddSetNamed(const std::vector<std::string>& names,
                                          std::string label) {
-  used_names_ = true;
   std::vector<EntityId> ids;
   ids.reserve(names.size());
   for (const auto& n : names) ids.push_back(dict_.Intern(n));
@@ -44,9 +42,22 @@ SetCollection SetCollectionBuilder::Build(std::vector<SetId>* original_to_final)
     original_to_final->assign(pending_.size(), kNoSet);
   }
 
-  // Deduplicate by content hash with full-equality confirmation.
-  std::unordered_map<uint64_t, std::vector<SetId>> by_hash;
-  by_hash.reserve(pending_.size() * 2);
+  size_t total = 0;
+  for (const auto& elems : pending_) total += elems.size();
+  out.elements_.reserve(total);
+  out.offsets_.reserve(pending_.size() + 1);
+  out.labels_.reserve(pending_.size());
+
+  // Deduplicate by content hash with full-equality confirmation: a flat
+  // linear-probing table of (hash, final id), at most half full.
+  struct Slot {
+    uint64_t hash = 0;
+    SetId id = kNoSet;
+  };
+  size_t capacity = 16;
+  while (capacity < 2 * pending_.size()) capacity *= 2;
+  std::vector<Slot> by_hash(capacity);
+  const size_t mask = capacity - 1;
 
   std::vector<bool> seen_entity;
   for (size_t i = 0; i < pending_.size(); ++i) {
@@ -56,17 +67,17 @@ SetCollection SetCollectionBuilder::Build(std::vector<SetId>* original_to_final)
 
     uint64_t h = HashElements(elems);
     SetId final_id = kNoSet;
-    auto it = by_hash.find(h);
-    if (it != by_hash.end()) {
-      for (SetId cand : it->second) {
-        auto existing = std::span<const EntityId>(
-            out.elements_.data() + out.offsets_[cand],
-            out.elements_.data() + out.offsets_[cand + 1]);
-        if (existing.size() == elems.size() &&
-            std::equal(existing.begin(), existing.end(), elems.begin())) {
-          final_id = cand;
-          break;
-        }
+    size_t slot = h & mask;
+    for (; by_hash[slot].id != kNoSet; slot = (slot + 1) & mask) {
+      if (by_hash[slot].hash != h) continue;
+      const SetId cand = by_hash[slot].id;
+      auto existing = std::span<const EntityId>(
+          out.elements_.data() + out.offsets_[cand],
+          out.elements_.data() + out.offsets_[cand + 1]);
+      if (std::equal(existing.begin(), existing.end(), elems.begin(),
+                     elems.end())) {
+        final_id = cand;
+        break;
       }
     }
     if (final_id == kNoSet) {
@@ -74,7 +85,7 @@ SetCollection SetCollectionBuilder::Build(std::vector<SetId>* original_to_final)
       out.elements_.insert(out.elements_.end(), elems.begin(), elems.end());
       out.offsets_.push_back(out.elements_.size());
       out.labels_.push_back(labels_[i]);
-      by_hash[h].push_back(final_id);
+      by_hash[slot] = {h, final_id};
       for (EntityId e : elems) {
         if (e >= out.universe_size_) out.universe_size_ = e + 1;
         if (e >= seen_entity.size()) seen_entity.resize(e + 1, false);
@@ -90,7 +101,7 @@ SetCollection SetCollectionBuilder::Build(std::vector<SetId>* original_to_final)
     if (original_to_final != nullptr) (*original_to_final)[i] = final_id;
   }
 
-  if (used_names_) {
+  if (dict_.size() > 0) {
     out.dict_ = std::make_shared<EntityDict>(std::move(dict_));
   }
   // Content fingerprint, fixed for the collection's lifetime so reads never
@@ -106,7 +117,6 @@ SetCollection SetCollectionBuilder::Build(std::vector<SetId>* original_to_final)
   pending_.clear();
   labels_.clear();
   dict_ = EntityDict();
-  used_names_ = false;
   return out;
 }
 

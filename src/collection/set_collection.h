@@ -51,14 +51,14 @@ class SetCollectionBuilder {
   SetCollection Build(std::vector<SetId>* original_to_final = nullptr);
 
   /// Access to the name dictionary for callers that interleave interning
-  /// with set construction.
+  /// with set construction. Build() hands the collection the dictionary
+  /// whenever it holds a name, however the names got there.
   EntityDict& dict() { return dict_; }
 
  private:
   std::vector<std::vector<EntityId>> pending_;
   std::vector<std::string> labels_;
   EntityDict dict_;
-  bool used_names_ = false;
 };
 
 /// An immutable collection of n unique sets over a universe of m entities.

@@ -89,6 +89,69 @@ TEST(SetCollection, NamedSetsRoundTripThroughDict) {
   EXPECT_EQ(c.dict()->Lookup("unseen"), kNoEntity);
 }
 
+TEST(EntityDict, IdsStayStableAcrossIndexGrowth) {
+  EntityDict dict;
+  EXPECT_EQ(dict.Lookup("x"), kNoEntity);  // before the index exists
+  std::vector<std::string> names;
+  for (int i = 0; i < 5000; ++i) {
+    // Prefixes of one another, NULs and long names all coexist.
+    names.push_back(i % 3 == 0
+                        ? std::string(i % 40, 'p')
+                        : "n" + std::to_string(i) + std::string(i % 5, '\0'));
+  }
+  std::vector<EntityId> first;
+  for (const auto& n : names) first.push_back(dict.Intern(n));
+  // After every growth, each name keeps the id of its first appearance.
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(dict.Intern(names[i]), first[i]);
+    EXPECT_EQ(dict.Lookup(names[i]), first[i]);
+    EXPECT_EQ(dict.Name(first[i]), names[i]);
+  }
+  EntityId next = 0;
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (first[i] == next) ++next;  // ids are dense in first-seen order
+    EXPECT_LT(first[i], next);
+  }
+  EXPECT_EQ(dict.size(), next);
+  EXPECT_EQ(dict.Lookup("unseen"), kNoEntity);
+  // "n2" was interned with two NULs, not one.
+  EXPECT_EQ(dict.Lookup(std::string_view("n2\0", 3)), kNoEntity);
+  EXPECT_EQ(dict.size(), next);
+}
+
+TEST(EntityDict, InternAllMatchesInternOneByOne) {
+  // Batches of every length up to a few batch sizes, with repeats inside a
+  // batch and growth of the index in the middle of one.
+  EntityDict one, all;
+  uint64_t x = 12345;
+  for (size_t len = 0; len < 70; ++len) {
+    std::vector<std::string> owned;
+    for (size_t i = 0; i < len; ++i) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      owned.push_back("k" + std::to_string((x >> 33) % (40 * len + 1)));
+    }
+    std::vector<std::string_view> names(owned.begin(), owned.end());
+    std::vector<EntityId> want, got = {kNoEntity};
+    for (std::string_view n : names) want.push_back(one.Intern(n));
+    all.InternAll(names, &got);
+    ASSERT_EQ(got.size(), len + 1);  // appends
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin() + 1));
+    ASSERT_EQ(all.size(), one.size());
+  }
+  for (EntityId e = 0; e < one.size(); ++e) EXPECT_EQ(all.Name(e), one.Name(e));
+}
+
+TEST(EntityDict, BuildResetsTheBuilderDict) {
+  SetCollectionBuilder b;
+  b.AddSet({b.dict().Intern("x"), b.dict().Intern("y")});
+  SetCollection c = b.Build();
+  ASSERT_NE(c.dict(), nullptr);
+  EXPECT_EQ(c.dict()->Lookup("y"), 1u);
+  EXPECT_EQ(b.dict().size(), 0u);
+  EXPECT_EQ(b.dict().Lookup("x"), kNoEntity);
+  EXPECT_EQ(b.dict().Intern("y"), 0u);
+}
+
 TEST(SetCollection, EntityNameFallsBackToId) {
   SetCollection c = MakePaperCollection();
   EXPECT_EQ(c.EntityName(3), "e3");
